@@ -28,7 +28,6 @@ from .config import (
 )
 from .convection import (
     PROFILES,
-    TRANSMISSION_MODES,
     AnalyticConvectionSolution,
     ConvectionGrid,
     ConvectionRun,

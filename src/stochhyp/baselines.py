@@ -8,7 +8,6 @@ z-independent) while staying exactly the independent deterministic solves.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +20,10 @@ from .convection import (
     step_first_order_nodal,
     step_second_order_nodal,
 )
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
 from .gpc import QuadratureRule, gauss_rule
 from .liouville import PhaseSpaceGrid, PotentialBarrier, liouville_solve_nodal
+from .march import march
 from .metrics import MomentField, moments_from_samples
 
 __all__ = [
@@ -74,34 +74,17 @@ def convection_solve_nodal(
 
     lam_m = grid.ratio * coef.left(z_nodes)
     lam_p = grid.ratio * coef.right(z_nodes)
-    u = np.repeat(PROFILES[profile].func(grid.centers)[:, None], z_nodes.size, axis=1)
-    cell = grid.dx
-    mass0 = u.sum(axis=0) * cell
-    drift = np.zeros_like(mass0)
-    started = time.perf_counter()
-    for n in range(steps):
-        if order == 1:
-            u = step_first_order_nodal(u, lam_m, lam_p, grid.interface_index)
-        else:
-            u = step_second_order_nodal(
-                u, lam_m, lam_p, grid.dx, grid.interface_index, kind
-            )
-        if not np.all(np.isfinite(u)):
-            bad = np.argwhere(~np.isfinite(u))[0]
-            raise DivergenceError(
-                "non-finite value detected",
-                step=n + 1,
-                where="cell %d, node %d" % tuple(bad),
-            )
-        drift = np.maximum(drift, np.abs(u.sum(axis=0) * cell - mass0))
-    diagnostics = {
-        "steps": steps,
-        "mass_initial": mass0,
-        "mass_drift_abs_max": drift,
-        "mass_drift_rel_max": drift / np.where(mass0 == 0.0, 1.0, np.abs(mass0)),
-        "wall_time": time.perf_counter() - started,
-    }
-    return u, diagnostics
+    values = PROFILES[profile].func(grid.centers)
+    if order == 1:
+        step = lambda w: step_first_order_nodal(w, lam_m, lam_p, grid.interface_index)
+    else:
+        step = lambda w: step_second_order_nodal(
+            w, lam_m, lam_p, grid.dx, grid.interface_index, kind
+        )
+    mass = lambda w: w.sum(axis=0) * grid.dx
+    return march(
+        np.repeat(values[:, None], z_nodes.size, axis=1), step, steps, mass, "cell %d, node %d"
+    )
 
 
 def deterministic_convection(

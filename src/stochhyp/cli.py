@@ -38,7 +38,7 @@ from .config import (
 from .convection import PROFILES, AnalyticConvectionSolution, run_convection
 from .errors import ConfigurationError, DivergenceError
 from .liouville import liouville_solve_gpc
-from .metrics import l1_norm
+from .metrics import MomentField, l1_norm, nodal_h_norm
 from .sweeps import gpc_error_sweep, mesh_error_sweep
 
 __all__ = ["main"]
@@ -72,6 +72,21 @@ def _write_summary(path: Path, entries: dict) -> None:
     print("wrote %s" % path)
 
 
+def _write_fields(out: Path, lead: dict, moments: MomentField, value_header, values) -> None:
+    """moments.csv and coeffs.csv: one row per cell, led by the `lead` coordinates."""
+    lead_cols = list(lead.values())
+    moment_cols = [moments.expectation.reshape(-1), moments.variance.reshape(-1)]
+    _write_csv(
+        out / "moments.csv",
+        list(lead) + ["expectation", "variance"],
+        np.column_stack(lead_cols + moment_cols),
+    )
+    values = values.reshape(lead_cols[0].size, -1)
+    _write_csv(
+        out / "coeffs.csv", list(lead) + value_header, np.column_stack(lead_cols + [values])
+    )
+
+
 def _config_echo(config: ExperimentConfig) -> dict:
     echo = {
         "problem": config.problem,
@@ -89,6 +104,23 @@ def _config_echo(config: ExperimentConfig) -> dict:
     if config.mode == "deterministic":
         echo["z"] = config.z
     return echo
+
+
+def _convection_options(config: ExperimentConfig) -> dict:
+    """Scheme keywords that every convection solver takes from the config."""
+    return dict(order=config.order, profile=config.profile, kind=config.limiter)
+
+
+def _liouville_options(config: ExperimentConfig) -> dict:
+    """Scheme keywords that every phase-space solver takes from the config."""
+    return dict(
+        order=config.order,
+        integrator=config.integrator,
+        alpha=config.alpha,
+        profile=config.profile,
+        kind=config.limiter,
+        vflux_variant=config.vflux,
+    )
 
 
 def _apply_thread_env(config: ExperimentConfig) -> ExperimentConfig:
@@ -112,11 +144,6 @@ def _load_config(path: str) -> ExperimentConfig:
     return _apply_thread_env(parse_config(text))
 
 
-def _collocation_h_distance(fields, exact_nodal, rule, cell_measure) -> float:
-    per_node = np.sum(np.abs(fields - exact_nodal), axis=0) * cell_measure
-    return float(np.sqrt(np.sum(rule.weights * per_node**2)))
-
-
 def _run_convection(config: ExperimentConfig, out: Path) -> dict:
     coef, grid = convection_parts(config)
     x = grid.centers
@@ -124,22 +151,15 @@ def _run_convection(config: ExperimentConfig, out: Path) -> dict:
     summary = _config_echo(config)
     summary["dx"] = grid.dx
     summary["interface_shift"] = grid.shift
-    errors = None
 
+    common = _convection_options(config)
     if config.mode == "gpc_sg":
         run = run_convection(
-            coef,
-            grid,
-            config.k,
-            config.t_final,
-            order=config.order,
-            profile=config.profile,
-            quad_count=config.m,
-            kind=config.limiter,
+            coef, grid, config.k, config.t_final, quad_count=config.m, **common
         )
         moments = run.moments
-        coeff_header = ["x"] + ["c%d" % j for j in range(config.k + 1)]
-        coeff_rows = np.column_stack([x, run.coeffs])
+        value_header = ["c%d" % j for j in range(config.k + 1)]
+        values = run.coeffs
         errors = {
             "l1_expectation": run.report.l1_expectation,
             "l1_variance": run.report.l1_variance,
@@ -148,18 +168,10 @@ def _run_convection(config: ExperimentConfig, out: Path) -> dict:
         }
         diag = run.diagnostics
     elif config.mode == "collocation":
-        run = collocation_convection(
-            coef,
-            grid,
-            config.m,
-            config.t_final,
-            order=config.order,
-            profile=config.profile,
-            kind=config.limiter,
-        )
+        run = collocation_convection(coef, grid, config.m, config.t_final, **common)
         moments = run.moments
-        coeff_header = ["x"] + ["node%d" % j for j in range(run.rule.count)]
-        coeff_rows = np.column_stack([x, run.fields])
+        value_header = ["node%d" % j for j in range(run.rule.count)]
+        values = run.fields
         exact_moments = exact.moments(x, config.t_final)
         exact_nodal = exact.value(x[:, None], config.t_final, run.rule.nodes[None, :])
         l1_e = l1_norm(moments.expectation - exact_moments.expectation, grid.dx)
@@ -168,26 +180,17 @@ def _run_convection(config: ExperimentConfig, out: Path) -> dict:
             "l1_expectation": l1_e,
             "l1_variance": l1_v,
             "l1_total": l1_e + l1_v,
-            "h_distance": _collocation_h_distance(
-                run.fields, exact_nodal, run.rule, grid.dx
-            ),
+            "h_distance": nodal_h_norm(run.fields - exact_nodal, grid.dx, run.rule),
         }
         diag = run.diagnostics
     else:
-        field, diag = convection_solve_nodal(
-            coef,
-            grid,
-            [config.z],
-            config.t_final,
-            order=config.order,
-            profile=config.profile,
-            kind=config.limiter,
+        values, diag = convection_solve_nodal(
+            coef, grid, [config.z], config.t_final, **common
         )
-        field = field[:, 0]
-        moments = None
-        coeff_header = ["x", "value"]
-        coeff_rows = np.column_stack([x, field])
-        l1_e = l1_norm(field - exact.value(x, config.t_final, config.z), grid.dx)
+        values = values[:, 0]
+        moments = MomentField(values, np.zeros_like(values))
+        value_header = ["value"]
+        l1_e = l1_norm(values - exact.value(x, config.t_final, config.z), grid.dx)
         errors = {
             "l1_expectation": l1_e,
             "l1_variance": 0.0,
@@ -195,14 +198,8 @@ def _run_convection(config: ExperimentConfig, out: Path) -> dict:
             "h_distance": l1_e,
         }
 
-    if moments is None:
-        moment_rows = np.column_stack([x, field, np.zeros_like(field)])
-    else:
-        moment_rows = np.column_stack([x, moments.expectation, moments.variance])
-    _write_csv(out / "moments.csv", ["x", "expectation", "variance"], moment_rows)
-    _write_csv(out / "coeffs.csv", coeff_header, coeff_rows)
-    if errors is not None:
-        _write_csv(out / "errors.csv", list(errors), [list(errors.values())])
+    _write_fields(out, {"x": x}, moments, value_header, values)
+    _write_csv(out / "errors.csv", list(errors), [list(errors.values())])
     for key in ("steps", "mass_drift_abs_max", "mass_drift_rel_max", "wall_time"):
         summary[key] = diag[key]
     return summary
@@ -216,14 +213,7 @@ def _run_liouville(config: ExperimentConfig, out: Path) -> dict:
     summary["dx"] = grid.dx
     summary["dv"] = grid.dv
 
-    common = dict(
-        order=config.order,
-        integrator=config.integrator,
-        alpha=config.alpha,
-        profile=config.profile,
-        kind=config.limiter,
-        vflux_variant=config.vflux,
-    )
+    common = _liouville_options(config)
     if config.mode == "gpc_sg":
         run = liouville_solve_gpc(
             grid,
@@ -234,36 +224,25 @@ def _run_liouville(config: ExperimentConfig, out: Path) -> dict:
             **common,
         )
         moments = run.moments
-        coeff_header = ["x", "v"] + ["c%d" % j for j in range(config.k + 1)]
-        coeff_rows = np.column_stack(
-            [xs, vs, run.field.reshape(-1, config.k + 1)]
-        )
+        value_header = ["c%d" % j for j in range(config.k + 1)]
+        values = run.field
         diag = run.diagnostics
     elif config.mode == "collocation":
         run = collocation_liouville(
             grid, barrier, config.m, config.t_final, **common
         )
         moments = run.moments
-        coeff_header = ["x", "v"] + ["node%d" % j for j in range(run.rule.count)]
-        coeff_rows = np.column_stack([xs, vs, run.fields.reshape(-1, run.rule.count)])
+        value_header = ["node%d" % j for j in range(run.rule.count)]
+        values = run.fields
         diag = run.diagnostics
     else:
-        field, diag = deterministic_liouville(
+        values, diag = deterministic_liouville(
             grid, barrier, config.z, config.t_final, **common
         )
-        moments = None
-        coeff_header = ["x", "v", "value"]
-        coeff_rows = np.column_stack([xs, vs, field.reshape(-1)])
+        moments = MomentField(values, np.zeros_like(values))
+        value_header = ["value"]
 
-    if moments is None:
-        flat = field.reshape(-1)
-        moment_rows = np.column_stack([xs, vs, flat, np.zeros_like(flat)])
-    else:
-        moment_rows = np.column_stack(
-            [xs, vs, moments.expectation.reshape(-1), moments.variance.reshape(-1)]
-        )
-    _write_csv(out / "moments.csv", ["x", "v", "expectation", "variance"], moment_rows)
-    _write_csv(out / "coeffs.csv", coeff_header, coeff_rows)
+    _write_fields(out, {"x": xs, "v": vs}, moments, value_header, values)
     for key in (
         "steps",
         "mass_drift_abs_max",
@@ -338,14 +317,8 @@ def _cmd_sweep(args) -> int:
 
             def solve(k: int):
                 return run_convection(
-                    coef,
-                    grid,
-                    k,
-                    config.t_final,
-                    order=config.order,
-                    profile=config.profile,
-                    kind=config.limiter,
-                    compare_analytic=False,
+                    coef, grid, k, config.t_final, compare_analytic=False,
+                    **_convection_options(config),
                 ).coeffs
 
         else:
@@ -354,16 +327,7 @@ def _cmd_sweep(args) -> int:
 
             def solve(k: int):
                 return liouville_solve_gpc(
-                    grid,
-                    barrier,
-                    k,
-                    config.t_final,
-                    order=config.order,
-                    integrator=config.integrator,
-                    alpha=config.alpha,
-                    profile=config.profile,
-                    kind=config.limiter,
-                    vflux_variant=config.vflux,
+                    grid, barrier, k, config.t_final, **_liouville_options(config)
                 ).field
 
         rows = gpc_error_sweep(solve, k_list, args.ref, cell, threads=config.threads)
@@ -388,10 +352,8 @@ def _cmd_sweep(args) -> int:
             config.dt / config.dx,
             config.k,
             config.t_final,
-            order=config.order,
-            profile=config.profile,
-            kind=config.limiter,
             threads=config.threads,
+            **_convection_options(config),
         )
         header = ["dx", "dt", "l1_expectation", "l1_variance", "l1_total", "h_distance"]
         table = [

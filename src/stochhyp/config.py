@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .convection import (
     PROFILES,
-    TRANSMISSION_MODES,
     ConvectionGrid,
     InterfaceCoefficient,
 )
@@ -73,7 +72,6 @@ class ExperimentConfig:
     c_minus: float = 1.0
     c_plus: float = 2.0
     sigma: float = 0.3
-    transmission: str = "conserve_flux"
     v_left: float = 0.2
     v_right: float = 0.0
     slope_amp: float = 0.1
@@ -107,7 +105,6 @@ _SCHEMA = {
     ("random", "c_minus"): ("c_minus", float),
     ("random", "c_plus"): ("c_plus", float),
     ("random", "sigma"): ("sigma", float),
-    ("random", "transmission"): ("transmission", str),
     ("random", "v_left"): ("v_left", float),
     ("random", "v_right"): ("v_right", float),
     ("random", "slope_amp"): ("slope_amp", float),
@@ -273,8 +270,6 @@ def _domain_checks(assigned: dict, problem, where: dict[str, int]) -> list[str]:
         bad("integrator", "integrator must be euler or rk2")
     if assigned.get("vflux", "product") not in VFLUX_VARIANTS:
         bad("vflux", "vflux must be one of %s" % (VFLUX_VARIANTS,))
-    if assigned.get("transmission", "conserve_flux") not in TRANSMISSION_MODES:
-        bad("transmission", "transmission must be one of %s" % (TRANSMISSION_MODES,))
     if assigned.get("threads", 1) < 1:
         bad("threads", "threads must be >= 1")
     k = assigned.get("k")
@@ -328,7 +323,6 @@ def _convection_parts_raw(assigned: dict):
         c_minus=assigned.get("c_minus", 1.0),
         c_plus=assigned.get("c_plus", 2.0),
         sigma=assigned.get("sigma", 0.3),
-        transmission=assigned.get("transmission", "conserve_flux"),
     )
     grid = ConvectionGrid.from_spacing(
         assigned["a"], assigned["b"], assigned["dx"], assigned["dt"]

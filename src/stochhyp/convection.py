@@ -9,19 +9,25 @@ characteristics and quadrature oracles for its moments.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
-from .gpc import OrthonormalBasis, QuadratureRule, galerkin_matrix, gauss_rule, project
-from .limiters import BAP_KINDS, bap_slope
+from .errors import ConfigurationError
+from .gpc import (
+    OrthonormalBasis,
+    QuadratureRule,
+    deterministic_coeffs,
+    galerkin_matrix,
+    gauss_rule,
+    project,
+)
+from .limiters import BAP_KINDS, limited_slopes
+from .march import march
 from .metrics import MomentField, make_error_report
 
 __all__ = [
-    "TRANSMISSION_MODES",
     "InterfaceCoefficient",
     "ConvectionGrid",
     "InitialProfile",
@@ -37,9 +43,6 @@ __all__ = [
     "run_convection",
 ]
 
-TRANSMISSION_MODES = ("conserve_flux", "conserve_mass")
-
-
 @dataclass(frozen=True)
 class InterfaceCoefficient:
     """Wave speed c(x, z) = base(x) + sigma*z with base jumping at x = 0."""
@@ -47,7 +50,6 @@ class InterfaceCoefficient:
     c_minus: float = 1.0
     c_plus: float = 2.0
     sigma: float = 0.3
-    transmission: str = "conserve_flux"
 
     def __post_init__(self) -> None:
         if self.c_minus <= 0.0 or self.c_plus <= 0.0:
@@ -55,10 +57,6 @@ class InterfaceCoefficient:
         if abs(self.sigma) >= min(self.c_minus, self.c_plus):
             raise ConfigurationError(
                 ["speed perturbation must keep c(x, z) > 0 for all |z| <= 1"]
-            )
-        if self.transmission not in TRANSMISSION_MODES:
-            raise ConfigurationError(
-                ["transmission must be one of %s" % (TRANSMISSION_MODES,)]
             )
 
     def left(self, z):
@@ -71,9 +69,7 @@ class InterfaceCoefficient:
 
     def jump_factor(self, z):
         """Scaling applied to the profile transmitted through x = 0."""
-        if self.transmission == "conserve_flux":
-            return self.left(z) / self.right(z)
-        return np.ones_like(np.asarray(z, dtype=float))
+        return self.left(z) / self.right(z)
 
 
 @dataclass(frozen=True)
@@ -191,24 +187,6 @@ def step_first_order_nodal(
     return _three_branch(field, field * lam_minus, field * lam_plus, interface_index)
 
 
-def _reconstructed_edges(
-    field: np.ndarray, dx: float, interface_index: int, kind: str
-) -> np.ndarray:
-    """Limited upwind edge states u_i + s_i*dx/2 per cell."""
-    s_l = np.zeros_like(field)
-    s_r = np.zeros_like(field)
-    s_l[1:] = (field[1:] - field[:-1]) / dx
-    s_r[:-1] = s_l[1:]
-    slopes = bap_slope(s_l, s_r, kind=kind)
-    i = interface_index
-    # one-sided differences next to the jump; flat boundary cells
-    slopes[i] = s_l[i]
-    slopes[i + 1] = s_r[i + 1]
-    slopes[0] = 0.0
-    slopes[-1] = 0.0
-    return field + slopes * (dx / 2.0)
-
-
 def step_second_order_nodal(
     field: np.ndarray,
     lam_minus: np.ndarray,
@@ -219,7 +197,7 @@ def step_second_order_nodal(
 ) -> np.ndarray:
     """Second-order nodal step: the upwind update applied to edge states."""
     field = np.asarray(field, dtype=float)
-    edges = _reconstructed_edges(field, dx, interface_index, kind)
+    edges = field + limited_slopes(field, dx, interface_index, kind) * (dx / 2.0)
     return _three_branch(field, edges * lam_minus, edges * lam_plus, interface_index)
 
 
@@ -288,10 +266,9 @@ class AnalyticConvectionSolution:
         u0 = self.profile.func
         cp = self.coef.right(z)
         cm = self.coef.left(z)
-        rho = self.coef.jump_factor(z)
-        crossed = self.coef.left(z) / self.coef.right(z)
+        crossed = cm / cp
         upper = u0(x - cp * t)
-        middle = rho * u0(crossed * (x - cp * t))
+        middle = crossed * u0(crossed * (x - cp * t))
         lower = u0(x - cm * t)
         return np.where(x > cp * t, upper, np.where(x > 0.0, middle, lower))
 
@@ -389,33 +366,14 @@ def run_convection(
     lam_minus, lam_plus = build_lambda_matrices(coef, grid, basis, rule)
     prof = PROFILES[profile]
 
-    field = np.zeros((grid.cells, k + 1))
-    field[:, 0] = prof.func(grid.centers)
-    mass0 = float(np.sum(field[:, 0]) * grid.dx)
-    drift = 0.0
-
-    started = time.perf_counter()
-    if order == 2:
-        table = basis.values(rule.nodes)
-        lam_m = grid.ratio * coef.left(rule.nodes)
-        lam_p = grid.ratio * coef.right(rule.nodes)
-    for n in range(steps):
-        if order == 1:
-            field = step_first_order(field, lam_minus, lam_plus, grid.interface_index)
-        else:
-            nodal = field @ table
-            nodal = step_second_order_nodal(
-                nodal, lam_m, lam_p, grid.dx, grid.interface_index, kind
-            )
-            field = project(nodal, basis, rule)
-        if not np.all(np.isfinite(field)):
-            bad = int(np.argwhere(~np.isfinite(field))[0][0])
-            raise DivergenceError(
-                "non-finite coefficient detected", step=n + 1, where="cell %d" % bad
-            )
-        mass = float(np.sum(field[:, 0]) * grid.dx)
-        drift = max(drift, abs(mass - mass0))
-    elapsed = time.perf_counter() - started
+    if order == 1:
+        step = lambda f: step_first_order(f, lam_minus, lam_plus, grid.interface_index)
+    else:
+        step = lambda f: step_second_order(f, coef, grid, basis, rule, kind)
+    mass = lambda f: float(np.sum(f[:, 0]) * grid.dx)
+    field, diagnostics = march(
+        deterministic_coeffs(prof.func(grid.centers), k), step, steps, mass, "cell %d, mode %d"
+    )
 
     moments = MomentField.from_coeffs(field)
     report = None
@@ -425,12 +383,5 @@ def run_convection(
             field, lambda zs: exact.value(grid.centers[:, None], t_final, zs[None, :]),
             exact.moments(grid.centers, t_final), grid.dx, grid.dt, t_final, order
         )
-    diagnostics = {
-        "steps": steps,
-        "mass_initial": mass0,
-        "mass_drift_abs_max": drift,
-        "mass_drift_rel_max": drift / abs(mass0) if mass0 != 0.0 else drift,
-        "wall_time": elapsed,
-        "interface_shift": grid.shift,
-    }
+    diagnostics["interface_shift"] = grid.shift
     return ConvectionRun(field, moments, report, diagnostics)

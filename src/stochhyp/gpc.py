@@ -19,6 +19,7 @@ __all__ = [
     "legendre_table",
     "galerkin_matrix",
     "project",
+    "deterministic_coeffs",
     "evaluate",
     "moments",
 ]
@@ -159,6 +160,13 @@ def project(samples: np.ndarray, basis: OrthonormalBasis, rule: QuadratureRule) 
         raise ValueError("sample count does not match the quadrature rule")
     table = basis.values(rule.nodes)
     return samples @ (table * rule.weights).T
+
+
+def deterministic_coeffs(values: np.ndarray, k: int) -> np.ndarray:
+    """Order-k coefficients of a field that does not depend on z: `values` in mode 0."""
+    field = np.zeros(np.shape(values) + (k + 1,))
+    field[..., 0] = values
+    return field
 
 
 def evaluate(coeffs: np.ndarray, basis: OrthonormalBasis, z: float | np.ndarray) -> float | np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BAP_KINDS", "bap_slope", "limiter_maps"]
+__all__ = ["BAP_KINDS", "bap_slope", "limited_slopes", "limiter_maps"]
 
 
 def _sqrt_forward(x):
@@ -62,3 +62,23 @@ def bap_slope(s_l, s_r, kind: str = "arctan"):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def limited_slopes(u: np.ndarray, dx: float, interface_index: int, kind: str) -> np.ndarray:
+    """Limited slopes along axis 0 of cell values u.
+
+    Cells `interface_index` and `interface_index + 1` sit on either side of
+    the jump and take the one-sided difference that does not cross it; the
+    boundary cells are flat.
+    """
+    s_l = np.zeros_like(u)
+    s_r = np.zeros_like(u)
+    s_l[1:] = (u[1:] - u[:-1]) / dx
+    s_r[:-1] = s_l[1:]
+    slopes = bap_slope(s_l, s_r, kind=kind)
+    i = interface_index
+    slopes[i] = s_l[i]
+    slopes[i + 1] = s_r[i + 1]
+    slopes[0] = 0.0
+    slopes[-1] = 0.0
+    return slopes

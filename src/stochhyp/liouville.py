@@ -10,15 +10,15 @@ the nodal scheme at quadrature nodes and projecting back per time step.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
-from .gpc import OrthonormalBasis, QuadratureRule, gauss_rule, project
-from .limiters import BAP_KINDS, bap_slope
+from .errors import ConfigurationError
+from .gpc import OrthonormalBasis, QuadratureRule, deterministic_coeffs, gauss_rule, project
+from .limiters import BAP_KINDS, limited_slopes
+from .march import march
 from .metrics import MomentField
 
 __all__ = [
@@ -248,21 +248,6 @@ class BarrierStencil:
         return cls(right_side, left_side, trunc)
 
 
-def _x_slopes(u: np.ndarray, grid: PhaseSpaceGrid, kind: str) -> np.ndarray:
-    """BAP-limited x-slopes; one-sided beside the barrier, flat at boundaries."""
-    s_l = np.zeros_like(u)
-    s_r = np.zeros_like(u)
-    s_l[1:] = (u[1:] - u[:-1]) / grid.dx
-    s_r[:-1] = s_l[1:]
-    slopes = bap_slope(s_l, s_r, kind=kind)
-    il = grid.barrier_edge - 1
-    slopes[il] = s_l[il]
-    slopes[il + 1] = s_r[il + 1]
-    slopes[0] = 0.0
-    slopes[-1] = 0.0
-    return slopes
-
-
 def _vflux_product(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> np.ndarray:
     # central flux for the v-advection term -force*u, in conservative form;
     # zero-gradient ghosts collapse the boundary flux to -force*u_boundary
@@ -325,7 +310,7 @@ def rhs_nodal(
     if order == 1:
         right_edge = left_edge = u
     else:
-        offsets = _x_slopes(u, grid, kind) * (grid.dx / 2.0)
+        offsets = limited_slopes(u, grid.dx, il, kind) * (grid.dx / 2.0)
         right_edge = u + offsets
         left_edge = u - offsets
 
@@ -410,17 +395,20 @@ def check_cfl(grid: PhaseSpaceGrid, alpha: float) -> None:
         )
 
 
-def _validate_solve(
+def _set_up_solve(
     grid: PhaseSpaceGrid,
     barrier: PotentialBarrier,
     t_final: float,
     order: int,
     integrator: str,
-    alpha: float,
+    alpha: float | None,
     profile: str,
     kind: str,
     vflux_variant: str,
-) -> int:
+) -> tuple[int, float, BarrierStencil, np.ndarray]:
+    """Validate a solve; return steps, alpha (default max |DV|), stencil, initial values."""
+    if alpha is None:
+        alpha = barrier.max_force
     problems = []
     if order not in (1, 2):
         problems.append("order must be 1 or 2")
@@ -447,7 +435,9 @@ def _validate_solve(
         problems.append("final time must be an integer number of time steps")
     if problems:
         raise ConfigurationError(problems)
-    return steps
+    init = profile if callable(profile) else PHASE_PROFILES[profile]
+    values = init(grid.x_centers[:, None], grid.v_centers[None, :])
+    return steps, alpha, BarrierStencil.build(grid, barrier), values
 
 
 def liouville_solve_nodal(
@@ -464,52 +454,22 @@ def liouville_solve_nodal(
 ) -> LiouvilleRun:
     """March the nodal scheme at fixed z samples; field shape (nx, nv, nodes)."""
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
-    if alpha is None:
-        alpha = barrier.max_force
-    steps = _validate_solve(
+    steps, alpha, stencil, values = _set_up_solve(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant
     )
-    stencil = BarrierStencil.build(grid, barrier)
-    init = profile if callable(profile) else PHASE_PROFILES[profile]
-    x = grid.x_centers[:, None]
-    v = grid.v_centers[None, :]
-    u = np.repeat(init(x, v)[:, :, None], z_nodes.size, axis=2)
 
     diag = {"truncation_events": 0}
     rhs = lambda w: rhs_nodal(
         w, grid, barrier, stencil, z_nodes, alpha, order, kind, vflux_variant, diag
     )
-    cell = grid.dx * grid.dv
-    mass0 = u.sum(axis=(0, 1)) * cell
-    drift = np.zeros_like(mass0)
-    lo = float(u.min())
-    hi = float(u.max())
-    started = time.perf_counter()
-    for n in range(steps):
-        u = advance(u, grid.dt, rhs, integrator)
-        if not np.all(np.isfinite(u)):
-            bad = np.argwhere(~np.isfinite(u))[0]
-            raise DivergenceError(
-                "non-finite value detected",
-                step=n + 1,
-                where="cell (%d, %d), node %d" % tuple(bad),
-            )
-        drift = np.maximum(drift, np.abs(u.sum(axis=(0, 1)) * cell - mass0))
-        lo = min(lo, float(u.min()))
-        hi = max(hi, float(u.max()))
-    elapsed = time.perf_counter() - started
-
-    diagnostics = {
-        "steps": steps,
-        "mass_initial": mass0,
-        "mass_drift_abs_max": drift,
-        "mass_drift_rel_max": drift / np.where(mass0 == 0.0, 1.0, np.abs(mass0)),
-        "min_value": lo,
-        "max_value": hi,
-        "stencil_truncations": stencil.static_truncations,
-        "truncation_events": diag["truncation_events"],
-        "wall_time": elapsed,
-    }
+    step = lambda w: advance(w, grid.dt, rhs, integrator)
+    mass = lambda w: w.sum(axis=(0, 1)) * (grid.dx * grid.dv)
+    u, diagnostics = march(
+        np.repeat(values[:, :, None], z_nodes.size, axis=2), step, steps, mass,
+        "cell (%d, %d), node %d", track_range=True,
+    )
+    diagnostics["stencil_truncations"] = stencil.static_truncations
+    diagnostics["truncation_events"] = diag["truncation_events"]
     return LiouvilleRun(u, None, diagnostics)
 
 
@@ -561,48 +521,23 @@ def liouville_solve_gpc(
     vflux_variant: str = "product",
 ) -> LiouvilleRun:
     """March the gPC coefficient field; field shape (nx, nv, k + 1)."""
-    if alpha is None:
-        alpha = barrier.max_force
-    steps = _validate_solve(
+    steps, alpha, stencil, values = _set_up_solve(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant
     )
     if k < 0:
         raise ConfigurationError(["gPC order must be >= 0"])
     basis = OrthonormalBasis(k)
     rule = gauss_rule(quad_count if quad_count is not None else 2 * k + 2)
-    stencil = BarrierStencil.build(grid, barrier)
-    init = profile if callable(profile) else PHASE_PROFILES[profile]
-
-    field = np.zeros((grid.nx, grid.nv, k + 1))
-    field[:, :, 0] = init(grid.x_centers[:, None], grid.v_centers[None, :])
 
     diag = {"truncation_events": 0}
     rhs = lambda w: galerkin_rhs(
         w, grid, barrier, stencil, basis, rule, alpha, order, kind, vflux_variant, diag
     )
-    cell = grid.dx * grid.dv
-    mass0 = float(field[:, :, 0].sum() * cell)
-    drift = 0.0
-    started = time.perf_counter()
-    for n in range(steps):
-        field = advance(field, grid.dt, rhs, integrator)
-        if not np.all(np.isfinite(field)):
-            bad = np.argwhere(~np.isfinite(field))[0]
-            raise DivergenceError(
-                "non-finite coefficient detected",
-                step=n + 1,
-                where="cell (%d, %d), mode %d" % tuple(bad),
-            )
-        drift = max(drift, abs(float(field[:, :, 0].sum() * cell) - mass0))
-    elapsed = time.perf_counter() - started
-
-    diagnostics = {
-        "steps": steps,
-        "mass_initial": mass0,
-        "mass_drift_abs_max": drift,
-        "mass_drift_rel_max": drift / abs(mass0) if mass0 != 0.0 else drift,
-        "stencil_truncations": stencil.static_truncations,
-        "truncation_events": diag["truncation_events"],
-        "wall_time": elapsed,
-    }
+    step = lambda w: advance(w, grid.dt, rhs, integrator)
+    mass = lambda w: float(w[:, :, 0].sum() * (grid.dx * grid.dv))
+    field, diagnostics = march(
+        deterministic_coeffs(values, k), step, steps, mass, "cell (%d, %d), mode %d"
+    )
+    diagnostics["stencil_truncations"] = stencil.static_truncations
+    diagnostics["truncation_events"] = diag["truncation_events"]
     return LiouvilleRun(field, MomentField.from_coeffs(field), diagnostics)

@@ -13,6 +13,7 @@ __all__ = [
     "ErrorReport",
     "l1_norm",
     "h_norm",
+    "nodal_h_norm",
     "moments_from_samples",
     "make_error_report",
     "error_quadrature_size",
@@ -47,7 +48,17 @@ def h_norm(field: np.ndarray, cell_measure: float, rule: QuadratureRule | None =
         rule = gauss_rule(error_quadrature_size(k))
     basis = OrthonormalBasis(k)
     nodal = field.reshape(-1, k + 1) @ basis.values(rule.nodes)
-    per_node = np.sum(np.abs(nodal), axis=0) * cell_measure
+    return nodal_h_norm(nodal, cell_measure, rule)
+
+
+def nodal_h_norm(samples: np.ndarray, cell_measure: float, rule: QuadratureRule) -> float:
+    """Mixed norm of nodal samples with shape (cells, rule.count).
+
+    Each node's samples are reduced with the l1 norm in space, and the
+    squares are averaged with the quadrature weights:
+    sqrt(sum_q w_q (sum_cells |s| * cell_measure)^2).
+    """
+    per_node = np.sum(np.abs(samples), axis=0) * cell_measure
     return float(np.sqrt(np.sum(rule.weights * per_node**2)))
 
 
@@ -117,9 +128,7 @@ def make_error_report(
     rule = gauss_rule(error_quadrature_size(k))
     basis = OrthonormalBasis(k)
     nodal = field @ basis.values(rule.nodes)
-    diff = nodal - exact_at_nodes(rule.nodes)
-    per_node = np.sum(np.abs(diff), axis=0) * cell_measure
-    h_err = float(np.sqrt(np.sum(rule.weights * per_node**2)))
+    h_err = nodal_h_norm(nodal - exact_at_nodes(rule.nodes), cell_measure, rule)
     num = MomentField.from_coeffs(field)
     e_err = l1_norm(num.expectation - exact_moments.expectation, cell_measure)
     v_err = l1_norm(num.variance - exact_moments.variance, cell_measure)

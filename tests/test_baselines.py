@@ -17,6 +17,8 @@ from stochhyp import (
     deterministic_convection,
     deterministic_liouville,
     l1_norm,
+    liouville_solve_gpc,
+    run_convection,
 )
 from stochhyp.liouville import PHASE_PROFILES
 
@@ -79,13 +81,46 @@ def test_nodal_solver_validation():
         )
 
 
-def test_divergence_error_reports_step_and_cell():
-    # nan sigma slips past the magnitude check and poisons the first step
-    bad = InterfaceCoefficient(1.0, 2.0, float("nan"))
+# nan sigma slips past the magnitude check and poisons the first step
+NAN_COEF = InterfaceCoefficient(1.0, 2.0, float("nan"))
+
+
+def poisoned_disks(x, v):
+    # the initial data is not scanned, so the nan cell surfaces after step 1
+    values = DISKS(x, v)
+    values[7, 5] = np.nan
+    return values
+
+
+def small_phase_grid():
+    return PhaseSpaceGrid(-2.0, 2.0, 2.0, 20, 20, 0.01)
+
+
+@pytest.mark.parametrize(
+    "solve, tag",
+    [
+        (lambda: run_convection(NAN_COEF, convection_grid(), 2, 0.5), "mode"),
+        (lambda: deterministic_convection(NAN_COEF, convection_grid(), 0.0, 0.5), "node"),
+        (
+            lambda: liouville_solve_gpc(
+                small_phase_grid(), STEP, 2, 0.1, profile=poisoned_disks
+            ),
+            "mode",
+        ),
+        (
+            lambda: deterministic_liouville(
+                small_phase_grid(), STEP, 0.0, 0.1, profile=poisoned_disks
+            ),
+            "node",
+        ),
+    ],
+    ids=["convection_gpc", "convection_nodal", "liouville_gpc", "liouville_nodal"],
+)
+def test_divergence_error_reports_step_and_cell(solve, tag):
     with pytest.raises(DivergenceError) as err:
-        deterministic_convection(bad, convection_grid(), 0.0, 0.5)
+        solve()
     assert err.value.step == 1
-    assert "cell" in err.value.where and "node" in err.value.where
+    assert "cell" in err.value.where and tag in err.value.where
     assert "step 1" in str(err.value)
 
 

@@ -55,10 +55,6 @@ def test_coefficient_sides_and_jump_factor():
     assert coef.right(0.0) == 2.0
     assert coef.left(1.0) == pytest.approx(1.3)
     assert coef.jump_factor(0.0) == pytest.approx(0.5)
-    mass = InterfaceCoefficient(1.0, 2.0, 0.3, transmission="conserve_mass")
-    assert mass.jump_factor(0.7) == 1.0
-    with pytest.raises(ValueError):
-        InterfaceCoefficient(1.0, 2.0, 0.3, transmission="conserve_entropy")
 
 
 def test_grid_requires_interior_interface():
@@ -290,12 +286,6 @@ def test_exact_solution_untouched_region():
     sol = AnalyticConvectionSolution(InterfaceCoefficient(1.0, 2.0, 0.3), COS)
     # x=1.5 > 0.8 = c_plus t: plain translation at the right speed
     assert sol.value(1.5, 0.4, 0.0) == pytest.approx(np.cos(0.175 * np.pi), abs=1e-14)
-
-
-def test_exact_solution_mass_conserving_variant():
-    coef = InterfaceCoefficient(1.0, 2.0, 0.3, transmission="conserve_mass")
-    sol = AnalyticConvectionSolution(coef, COS)
-    assert sol.value(0.5, 0.4, 0.0) == pytest.approx(np.cos(0.0375 * np.pi), abs=1e-14)
 
 
 def test_exact_solution_jumps_in_z_at_branch_boundary():
