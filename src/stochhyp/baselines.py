@@ -16,14 +16,14 @@ from .convection import (
     PROFILES,
     ConvectionGrid,
     InterfaceCoefficient,
-    check_cfl,
+    scheme_problems,
     step_first_order_nodal,
     step_second_order_nodal,
 )
-from .errors import ConfigurationError
+from .errors import reject
 from .gpc import QuadratureRule, gauss_rule
 from .liouville import PhaseSpaceGrid, PotentialBarrier, liouville_solve_nodal
-from .march import march
+from .march import march, time_steps
 from .metrics import MomentField, moments_from_samples
 
 __all__ = [
@@ -58,19 +58,8 @@ def convection_solve_nodal(
 ) -> tuple[np.ndarray, dict]:
     """March the deterministic scheme at fixed z samples; shape (cells, nodes)."""
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
-    problems = []
-    if np.any(np.abs(z_nodes) > 1.0):
-        problems.append("samples must lie in [-1, 1]")
-    if order not in (1, 2):
-        problems.append("order must be 1 or 2")
-    if profile not in PROFILES:
-        problems.append("unknown initial profile %r" % (profile,))
-    steps = int(round(t_final / grid.dt))
-    if t_final < 0.0 or abs(steps * grid.dt - t_final) > 1e-9 * max(1.0, t_final):
-        problems.append("final time must be an integer number of time steps")
-    if problems:
-        raise ConfigurationError(problems)
-    check_cfl(coef, grid)
+    steps, problems = time_steps(t_final, grid.dt)
+    reject(problems + scheme_problems(order, profile, kind, z_nodes, coef, grid))
 
     lam_m = grid.ratio * coef.left(z_nodes)
     lam_p = grid.ratio * coef.right(z_nodes)
@@ -131,8 +120,6 @@ def deterministic_liouville(
     vflux_variant: str = "product",
 ) -> tuple[np.ndarray, dict]:
     """Deterministic phase-space solve with the potential frozen at one z."""
-    if abs(z) > 1.0:
-        raise ConfigurationError(["samples must lie in [-1, 1]"])
     run = liouville_solve_nodal(
         grid, barrier, [z], t_final, order, integrator, alpha, profile, kind,
         vflux_variant,

@@ -43,6 +43,12 @@ from .sweeps import gpc_error_sweep, mesh_error_sweep
 
 __all__ = ["main"]
 
+# solver diagnostics that run.txt reports, in file order, where a solver has them
+_DIAGNOSTICS = (
+    "steps", "mass_drift_abs_max", "mass_drift_rel_max", "stencil_truncations",
+    "truncation_events", "wall_time", "min_value", "max_value",
+)
+
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -200,8 +206,7 @@ def _run_convection(config: ExperimentConfig, out: Path) -> dict:
 
     _write_fields(out, {"x": x}, moments, value_header, values)
     _write_csv(out / "errors.csv", list(errors), [list(errors.values())])
-    for key in ("steps", "mass_drift_abs_max", "mass_drift_rel_max", "wall_time"):
-        summary[key] = diag[key]
+    summary.update((key, diag[key]) for key in _DIAGNOSTICS if key in diag)
     return summary
 
 
@@ -243,18 +248,7 @@ def _run_liouville(config: ExperimentConfig, out: Path) -> dict:
         value_header = ["value"]
 
     _write_fields(out, {"x": xs, "v": vs}, moments, value_header, values)
-    for key in (
-        "steps",
-        "mass_drift_abs_max",
-        "mass_drift_rel_max",
-        "stencil_truncations",
-        "truncation_events",
-        "wall_time",
-    ):
-        summary[key] = diag[key]
-    for key in ("min_value", "max_value"):
-        if key in diag:
-            summary[key] = diag[key]
+    summary.update((key, diag[key]) for key in _DIAGNOSTICS if key in diag)
     return summary
 
 
@@ -301,12 +295,15 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     if (args.k is None) == (args.dx is None):
         raise ConfigurationError(["pass exactly one of --k or --dx"])
+    if config.mode != "gpc_sg":
+        raise ConfigurationError(["sweeps need mode = gpc_sg"])
+    if config.m is not None:
+        # neither sweep passes a quadrature size to its solver
+        raise ConfigurationError(["[random] m has no effect on sweep"])
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.k is not None:
-        if config.mode != "gpc_sg":
-            raise ConfigurationError(["chaos-order sweeps need mode = gpc_sg"])
         if args.ref is None:
             raise ConfigurationError(["--k requires --ref for the reference order"])
         k_list = _parse_k_list(args.k)
@@ -339,8 +336,6 @@ def _cmd_sweep(args) -> int:
     else:
         if config.problem != "convection":
             raise ConfigurationError(["mesh sweeps need the analytic solution (convection)"])
-        if config.mode != "gpc_sg":
-            raise ConfigurationError(["mesh sweeps need mode = gpc_sg"])
         dx_list = [float(tok) for tok in args.dx.split(",") if tok.strip()]
         _require_monotone(dx_list, "--dx")
         coef, _ = convection_parts(config)

@@ -10,21 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convection import (
-    PROFILES,
-    ConvectionGrid,
-    InterfaceCoefficient,
-)
-from .convection import check_cfl as convection_cfl
+from . import convection, liouville
+from .convection import ConvectionGrid, InterfaceCoefficient
 from .errors import ConfigurationError
-from .limiters import BAP_KINDS
-from .liouville import (
-    PHASE_PROFILES,
-    VFLUX_VARIANTS,
-    PhaseSpaceGrid,
-    PotentialBarrier,
-)
-from .liouville import check_cfl as liouville_cfl
+from .gpc import chaos_problems
+from .liouville import PhaseSpaceGrid, PotentialBarrier
+from .march import time_steps
+from .sweeps import thread_problems
 
 __all__ = [
     "PROBLEMS",
@@ -113,6 +105,14 @@ _SCHEMA = {
 }
 _PLACE = {field: (sec, key) for (sec, key), (field, _) in _SCHEMA.items()}
 _SECTIONS = ("grid", "random", "output")
+# per problem, the fields that only the other problem reads
+_UNREAD = {
+    "convection": (
+        "integrator", "vflux", "x_lo", "x_hi", "v_hi", "nx", "nv",
+        "v_left", "v_right", "slope_amp", "alpha",
+    ),
+    "liouville": ("a", "b", "dx", "c_minus", "c_plus", "sigma"),
+}
 
 _EX1 = dict(
     problem="convection",
@@ -247,122 +247,77 @@ def parse_config(text: str) -> ExperimentConfig:
         if field not in assigned:
             violations.append("missing required key %s" % _spot(field))
 
-    violations.extend(_domain_checks(assigned, problem, where))
+    config = ExperimentConfig(**dict(assigned, problem=problem, mode=mode))
+    violations.extend(_domain_checks(config, assigned, where))
     if violations:
         raise ConfigurationError(violations)
-    return ExperimentConfig(**assigned)
+    return config
 
 
-def _domain_checks(assigned: dict, problem, where: dict[str, int]) -> list[str]:
+def _domain_checks(cfg: ExperimentConfig, assigned: dict, where: dict[str, int]) -> list[str]:
+    """Config's own rules, then the rules the solvers apply, at their fields' lines."""
     problems: list[str] = []
 
-    def bad(field: str, message: str) -> None:
-        if field in where:
-            problems.append("line %d: %s" % (where[field], message))
-        else:
-            problems.append(message)
+    def bad(field: str | None, message: str) -> None:
+        prefix = "line %d: " % where[field] if field in where else ""
+        problems.append(prefix + message)
 
-    if assigned.get("order", 1) not in (1, 2):
-        bad("order", "order must be 1 or 2")
-    if assigned.get("limiter", "arctan") not in BAP_KINDS:
-        bad("limiter", "limiter must be one of %s" % (BAP_KINDS,))
-    if assigned.get("integrator", "euler") not in ("euler", "rk2"):
-        bad("integrator", "integrator must be euler or rk2")
-    if assigned.get("vflux", "product") not in VFLUX_VARIANTS:
-        bad("vflux", "vflux must be one of %s" % (VFLUX_VARIANTS,))
-    if assigned.get("threads", 1) < 1:
-        bad("threads", "threads must be >= 1")
-    k = assigned.get("k")
-    if k is not None and k < 0:
-        bad("k", "chaos order k must be >= 0")
-    m = assigned.get("m")
-    if m is not None and m < 1:
+    if cfg.m is not None and cfg.m < 1:
         bad("m", "quadrature size m must be >= 1")
-    if abs(assigned.get("z", 0.0)) > 1.0:
-        bad("z", "z must lie in [-1, 1]")
-    t_final = assigned.get("t_final")
-    if t_final is not None and t_final < 0.0:
-        bad("t_final", "final time must be >= 0")
-    dt = assigned.get("dt")
-    if t_final is not None and dt is not None and dt > 0.0:
-        steps = round(t_final / dt)
-        if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-            bad("dt", "final time must be an integer number of time steps")
+    for field in _UNREAD.get(cfg.problem, ()):
+        if field in assigned:
+            bad(field, "%s has no effect on problem = %s" % (_spot(field), cfg.problem))
 
-    profile = assigned.get("profile")
-    if problem == "convection":
-        if profile is not None and profile not in PROFILES:
-            bad("profile", "unknown initial profile %r" % (profile,))
-        if all(assigned.get(f) is not None for f in ("a", "b", "dx", "dt")):
+    tagged = thread_problems(cfg.threads)
+    if cfg.t_final is not None and cfg.dt is not None and cfg.dt > 0.0:
+        tagged += time_steps(cfg.t_final, cfg.dt)[1]
+    if cfg.k is not None:
+        tagged += chaos_problems(cfg.k, cfg.m if cfg.mode == "gpc_sg" else None)
+    if cfg.problem == "convection":
+        coef = grid = None
+        if None not in (cfg.a, cfg.b, cfg.dx, cfg.dt):
             try:
-                coef, grid = _convection_parts_raw(assigned)
-                convection_cfl(coef, grid)
+                coef, grid = convection_parts(cfg)
             except ConfigurationError as err:
                 problems.extend(err.violations)
-    elif problem == "liouville":
-        if profile is not None and profile not in PHASE_PROFILES:
-            bad("profile", "unknown initial profile %r" % (profile,))
-        if assigned.get("order", 1) == 2 and assigned.get("integrator", "euler") == "rk2":
-            bad("integrator", "the second-order fluxes carry dt and require euler stepping")
-        fields = ("x_lo", "x_hi", "v_hi", "nx", "nv", "dt")
-        if all(assigned.get(f) is not None for f in fields):
+        tagged += convection.scheme_problems(cfg.order, cfg.profile, cfg.limiter, cfg.z, coef, grid)
+    elif cfg.problem == "liouville":
+        grid = barrier = alpha = None
+        if None not in (cfg.x_lo, cfg.x_hi, cfg.v_hi, cfg.nx, cfg.nv, cfg.dt):
             try:
-                grid, barrier = _liouville_parts_raw(assigned)
-                alpha = assigned.get("alpha")
-                alpha = barrier.max_force if alpha is None else float(alpha)
-                if alpha < barrier.max_force:
-                    problems.append("LF viscosity alpha must be >= the largest |DV|")
-                liouville_cfl(grid, alpha)
+                grid, barrier = liouville_parts(cfg)
+                alpha = barrier.max_force if cfg.alpha is None else cfg.alpha
             except ConfigurationError as err:
                 problems.extend(err.violations)
+        tagged += liouville.scheme_problems(
+            cfg.order, cfg.integrator, cfg.profile, cfg.limiter, cfg.vflux, cfg.z,
+            grid, barrier, alpha,
+        )
+    for field, message in tagged:
+        bad(field, message)
     return problems
-
-
-def _convection_parts_raw(assigned: dict):
-    coef = InterfaceCoefficient(
-        c_minus=assigned.get("c_minus", 1.0),
-        c_plus=assigned.get("c_plus", 2.0),
-        sigma=assigned.get("sigma", 0.3),
-    )
-    grid = ConvectionGrid.from_spacing(
-        assigned["a"], assigned["b"], assigned["dx"], assigned["dt"]
-    )
-    return coef, grid
-
-
-def _liouville_parts_raw(assigned: dict):
-    grid = PhaseSpaceGrid(
-        x_lo=assigned["x_lo"],
-        x_hi=assigned["x_hi"],
-        v_hi=assigned["v_hi"],
-        nx=assigned["nx"],
-        nv=assigned["nv"],
-        dt=assigned["dt"],
-    )
-    barrier = PotentialBarrier(
-        v_left=assigned.get("v_left", 0.2),
-        v_right=assigned.get("v_right", 0.0),
-        slope_amp=assigned.get("slope_amp", 0.1),
-    )
-    return grid, barrier
 
 
 def convection_parts(config: ExperimentConfig):
     """Coefficient and grid objects for a validated convection config."""
-    return _convection_parts_raw(config.__dict__)
+    coef = InterfaceCoefficient(config.c_minus, config.c_plus, config.sigma)
+    return coef, ConvectionGrid.from_spacing(config.a, config.b, config.dx, config.dt)
 
 
 def liouville_parts(config: ExperimentConfig):
     """Grid and barrier objects for a validated phase-space config."""
-    return _liouville_parts_raw(config.__dict__)
+    grid = PhaseSpaceGrid(
+        config.x_lo, config.x_hi, config.v_hi, config.nx, config.nv, config.dt
+    )
+    return grid, PotentialBarrier(config.v_left, config.v_right, config.slope_amp)
 
 
 def render_config(config: ExperimentConfig) -> str:
-    """Config text that parses back to an equal ExperimentConfig."""
+    """Config text that parses back to an equal ExperimentConfig; unread fields left out."""
     by_section: dict[str, list[str]] = {"": [], "grid": [], "random": [], "output": []}
     for (section, key), (field, _) in _SCHEMA.items():
         value = getattr(config, field)
-        if value is None:
+        if value is None or field in _UNREAD[config.problem]:
             continue
         by_section[section].append("%s = %s" % (key, value))
     lines = by_section[""]

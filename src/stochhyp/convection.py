@@ -14,17 +14,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, reject
 from .gpc import (
     OrthonormalBasis,
     QuadratureRule,
+    chaos_problems,
+    chaos_rule,
     deterministic_coeffs,
     galerkin_matrix,
     gauss_rule,
     project,
 )
-from .limiters import BAP_KINDS, limited_slopes
-from .march import march
+from .limiters import kind_problems, limited_slopes
+from .march import march, time_steps
 from .metrics import MomentField, make_error_report
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "ConvectionRun",
     "build_lambda_matrices",
     "check_cfl",
+    "scheme_problems",
     "step_first_order",
     "step_first_order_nodal",
     "step_second_order",
@@ -118,17 +121,20 @@ class ConvectionGrid:
         return self.dt / self.dx
 
 
-def check_cfl(coef: InterfaceCoefficient, grid: ConvectionGrid) -> None:
-    """Require (dt/dx)*c(x, z) in [0, 1]; c is linear in z so z = +-1 suffice."""
+def _cfl_problems(coef: InterfaceCoefficient, grid: ConvectionGrid) -> list[tuple[None, str]]:
     problems = []
     for label, side in (("left", coef.left), ("right", coef.right)):
         worst = max(grid.ratio * side(-1.0), grid.ratio * side(1.0))
         if worst > 1.0:
             problems.append(
-                "CFL violated on the %s side: (dt/dx)*c reaches %.6g > 1" % (label, worst)
+                (None, "CFL violated on the %s side: (dt/dx)*c reaches %.6g > 1" % (label, worst))
             )
-    if problems:
-        raise ConfigurationError(problems)
+    return problems
+
+
+def check_cfl(coef: InterfaceCoefficient, grid: ConvectionGrid) -> None:
+    """Require (dt/dx)*c(x, z) in [0, 1]; c is linear in z so z = +-1 suffice."""
+    reject(_cfl_problems(coef, grid))
 
 
 def build_lambda_matrices(
@@ -139,7 +145,7 @@ def build_lambda_matrices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin matrices of (dt/dx)*c(x, z) on each side of the jump."""
     if rule is None:
-        rule = gauss_rule(2 * basis.max_order + 2)
+        rule = chaos_rule(basis.max_order)
     check_cfl(coef, grid)
     lam_minus = grid.ratio * galerkin_matrix(coef.left, basis, rule)
     lam_plus = grid.ratio * galerkin_matrix(coef.right, basis, rule)
@@ -215,9 +221,7 @@ def step_second_order(
     is applied per node, and the result is projected back onto the basis.
     """
     if rule is None:
-        rule = gauss_rule(2 * basis.max_order + 2)
-    if kind not in BAP_KINDS:
-        raise ConfigurationError(["unknown limiter map %r" % (kind,)])
+        rule = chaos_rule(basis.max_order)
     table = basis.values(rule.nodes)
     nodal = np.asarray(field, dtype=float) @ table
     lam_m = grid.ratio * coef.left(rule.nodes)
@@ -251,6 +255,20 @@ PROFILES = {
     "cos_bump": InitialProfile("cos_bump", _cos_bump, (-1.0, 3.0)),
     "gaussian": InitialProfile("gaussian", _gaussian, None),
 }
+
+
+def scheme_problems(order, profile, kind, z_nodes=(), coef=None, grid=None) -> list:
+    """Problems with a convection solve's scheme settings; CFL when `grid` is given."""
+    problems = kind_problems(kind)
+    if order not in (1, 2):
+        problems.append(("order", "order must be 1 or 2"))
+    if profile not in PROFILES:
+        problems.append(("profile", "unknown initial profile %r" % (profile,)))
+    if np.any(np.abs(z_nodes) > 1.0):
+        problems.append(("z", "samples must lie in [-1, 1]"))
+    if grid is not None:
+        problems += _cfl_problems(coef, grid)
+    return problems
 
 
 @dataclass(frozen=True)
@@ -346,23 +364,12 @@ def run_convection(
     compare_analytic: bool = True,
 ) -> ConvectionRun:
     """March the gPC-SG scheme to t_final and report moments and errors."""
-    problems = []
-    if order not in (1, 2):
-        problems.append("order must be 1 or 2")
-    if k < 0:
-        problems.append("gPC order must be >= 0")
-    if t_final < 0.0:
-        problems.append("final time must be >= 0")
-    if profile not in PROFILES:
-        problems.append("unknown initial profile %r" % (profile,))
-    steps = int(round(t_final / grid.dt))
-    if abs(steps * grid.dt - t_final) > 1e-9 * max(1.0, t_final):
-        problems.append("final time must be an integer number of time steps")
-    if problems:
-        raise ConfigurationError(problems)
+    steps, problems = time_steps(t_final, grid.dt)
+    problems += chaos_problems(k, quad_count)
+    reject(problems + scheme_problems(order, profile, kind, coef=coef, grid=grid))
 
     basis = OrthonormalBasis(k)
-    rule = gauss_rule(quad_count if quad_count is not None else 2 * k + 2)
+    rule = chaos_rule(k, quad_count)
     lam_minus, lam_plus = build_lambda_matrices(coef, grid, basis, rule)
     prof = PROFILES[profile]
 

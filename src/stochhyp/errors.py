@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["ConfigurationError", "DivergenceError"]
+__all__ = ["ConfigurationError", "DivergenceError", "reject"]
 
 
 class ConfigurationError(ValueError):
@@ -13,6 +13,12 @@ class ConfigurationError(ValueError):
             violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def reject(problems: list[tuple[str | None, str]]) -> None:
+    """Raise the messages of (config field or None, message) pairs, if any."""
+    if problems:
+        raise ConfigurationError([message for _, message in problems])
 
 
 class DivergenceError(RuntimeError):

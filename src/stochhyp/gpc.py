@@ -12,10 +12,14 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import reject
+
 __all__ = [
     "OrthonormalBasis",
     "QuadratureRule",
     "gauss_rule",
+    "chaos_problems",
+    "chaos_rule",
     "legendre_table",
     "galerkin_matrix",
     "project",
@@ -51,8 +55,7 @@ class OrthonormalBasis:
     density: str = field(default="uniform(-1,1)", repr=False)
 
     def __post_init__(self) -> None:
-        if self.max_order < 0:
-            raise ValueError("max_order must be nonnegative")
+        reject(chaos_problems(self.max_order))
 
     @property
     def size(self) -> int:
@@ -133,6 +136,21 @@ def gauss_rule(m: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights)
 
 
+def chaos_problems(k: int, quad_count: int | None = None) -> list[tuple[str, str]]:
+    """Problems with chaos order k on a rule of quad_count nodes (None: the default)."""
+    if k < 0:
+        return [("k", "chaos order k must be >= 0")]
+    if quad_count is not None and quad_count < k + 1:
+        return [("m", "quadrature size m must be >= k + 1 = %d" % (k + 1))]
+    return []
+
+
+def chaos_rule(k: int, quad_count: int | None = None) -> QuadratureRule:
+    """Gauss rule that projects chaos order k: quad_count nodes, by default 2k + 2."""
+    reject(chaos_problems(k, quad_count))
+    return gauss_rule(2 * k + 2 if quad_count is None else quad_count)
+
+
 def galerkin_matrix(
     coef: Callable[[np.ndarray], np.ndarray | float],
     basis: OrthonormalBasis,
@@ -144,8 +162,7 @@ def galerkin_matrix(
     the rule integrates deg(coef) + 2 max_order exactly.  The output is
     symmetrized so roundoff cannot break the analytic symmetry.
     """
-    if rule.count < basis.size:
-        raise ValueError("quadrature rule too small for the requested basis")
+    reject(chaos_problems(basis.max_order, rule.count))
     c = np.broadcast_to(np.asarray(coef(rule.nodes), dtype=float), rule.nodes.shape)
     table = basis.values(rule.nodes)
     weighted = table * (c * rule.weights)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BAP_KINDS", "bap_slope", "limited_slopes", "limiter_maps"]
+from .errors import reject
+
+__all__ = ["BAP_KINDS", "bap_slope", "kind_problems", "limited_slopes", "limiter_maps"]
 
 
 def _sqrt_forward(x):
@@ -43,12 +45,17 @@ _MAPS = {
 BAP_KINDS = tuple(_MAPS)
 
 
+def kind_problems(kind: str) -> list[tuple[str, str]]:
+    """The limiter rule: kind must name one of BAP_KINDS."""
+    if kind in _MAPS:
+        return []
+    return [("limiter", "unknown limiter map %r; choose from %s" % (kind, BAP_KINDS))]
+
+
 def limiter_maps(kind: str):
-    """Forward/inverse map pair for a limiter kind; ValueError when unknown."""
-    try:
-        return _MAPS[kind]
-    except KeyError:
-        raise ValueError(f"unknown limiter map {kind!r}; choose from {BAP_KINDS}") from None
+    """Forward/inverse map pair for a limiter kind; ConfigurationError when unknown."""
+    reject(kind_problems(kind))
+    return _MAPS[kind]
 
 
 def bap_slope(s_l, s_r, kind: str = "arctan"):

@@ -15,10 +15,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .gpc import OrthonormalBasis, QuadratureRule, deterministic_coeffs, gauss_rule, project
-from .limiters import BAP_KINDS, limited_slopes
-from .march import march
+from .errors import ConfigurationError, reject
+from .gpc import (
+    OrthonormalBasis,
+    QuadratureRule,
+    chaos_problems,
+    chaos_rule,
+    deterministic_coeffs,
+    project,
+)
+from .limiters import kind_problems, limited_slopes
+from .march import march, time_steps
 from .metrics import MomentField
 
 __all__ = [
@@ -30,6 +37,7 @@ __all__ = [
     "LiouvilleRun",
     "VFLUX_VARIANTS",
     "check_cfl",
+    "scheme_problems",
     "resolve_interface",
     "rhs_nodal",
     "galerkin_rhs",
@@ -385,14 +393,46 @@ class LiouvilleRun:
     diagnostics: dict
 
 
-def check_cfl(grid: PhaseSpaceGrid, alpha: float) -> None:
-    """Require dt*(max|v|/dx + alpha/dv) <= 1 for the split transport fluxes."""
+def _cfl_problems(grid: PhaseSpaceGrid, alpha: float) -> list[tuple[None, str]]:
     vmax = float(grid.v_centers[-1])
     cfl = grid.dt * (vmax / grid.dx + alpha / grid.dv)
     if cfl > 1.0 + 1e-12:
-        raise ConfigurationError(
-            ["CFL number dt*(max|v|/dx + alpha/dv) = %.6g exceeds 1" % cfl]
+        return [(None, "CFL number dt*(max|v|/dx + alpha/dv) = %.6g exceeds 1" % cfl)]
+    return []
+
+
+def check_cfl(grid: PhaseSpaceGrid, alpha: float) -> None:
+    """Require dt*(max|v|/dx + alpha/dv) <= 1 for the split transport fluxes."""
+    reject(_cfl_problems(grid, alpha))
+
+
+def scheme_problems(
+    order, integrator, profile, kind, vflux_variant, z_nodes=(), grid=None, barrier=None, alpha=None
+) -> list:
+    """Problems with a phase-space solve's scheme settings.
+
+    The LF viscosity alpha and the CFL bound are checked when `grid` is given.
+    """
+    problems = kind_problems(kind)
+    if order not in (1, 2):
+        problems.append(("order", "order must be 1 or 2"))
+    if integrator not in ("euler", "rk2"):
+        problems.append(("integrator", "integrator must be euler or rk2"))
+    if order == 2 and integrator == "rk2":
+        problems.append(
+            ("integrator", "the second-order fluxes carry dt and require euler stepping")
         )
+    if not callable(profile) and profile not in PHASE_PROFILES:
+        problems.append(("profile", "unknown initial profile %r" % (profile,)))
+    if vflux_variant not in VFLUX_VARIANTS:
+        problems.append(("vflux", "vflux must be one of %s" % (VFLUX_VARIANTS,)))
+    if np.any(np.abs(z_nodes) > 1.0):
+        problems.append(("z", "samples must lie in [-1, 1]"))
+    if grid is not None:
+        if alpha < barrier.max_force:
+            problems.append(("alpha", "LF viscosity alpha must be >= the largest |DV|"))
+        problems += _cfl_problems(grid, alpha)
+    return problems
 
 
 def _set_up_solve(
@@ -405,36 +445,17 @@ def _set_up_solve(
     profile: str,
     kind: str,
     vflux_variant: str,
+    z_nodes=(),
+    problems=(),
 ) -> tuple[int, float, BarrierStencil, np.ndarray]:
-    """Validate a solve; return steps, alpha (default max |DV|), stencil, initial values."""
+    """Validate a solve with the caller's `problems`; return steps, alpha, stencil, values."""
     if alpha is None:
         alpha = barrier.max_force
-    problems = []
-    if order not in (1, 2):
-        problems.append("order must be 1 or 2")
-    if integrator not in ("euler", "rk2"):
-        problems.append("integrator must be euler or rk2")
-    if order == 2 and integrator == "rk2":
-        problems.append("the second-order fluxes carry dt and require euler stepping")
-    if not callable(profile) and profile not in PHASE_PROFILES:
-        problems.append("unknown initial profile %r" % (profile,))
-    if kind not in BAP_KINDS:
-        problems.append("unknown limiter map %r" % (kind,))
-    if vflux_variant not in VFLUX_VARIANTS:
-        problems.append("vflux_variant must be one of %s" % (VFLUX_VARIANTS,))
-    if alpha < barrier.max_force:
-        problems.append("LF viscosity alpha must be >= the largest |DV|")
-    try:
-        check_cfl(grid, alpha)
-    except ConfigurationError as err:
-        problems.extend(err.violations)
-    if t_final < 0.0:
-        problems.append("final time must be >= 0")
-    steps = int(round(t_final / grid.dt))
-    if abs(steps * grid.dt - t_final) > 1e-9 * max(1.0, t_final):
-        problems.append("final time must be an integer number of time steps")
-    if problems:
-        raise ConfigurationError(problems)
+    steps, found = time_steps(t_final, grid.dt)
+    found += scheme_problems(
+        order, integrator, profile, kind, vflux_variant, z_nodes, grid, barrier, alpha
+    )
+    reject([*problems, *found])
     init = profile if callable(profile) else PHASE_PROFILES[profile]
     values = init(grid.x_centers[:, None], grid.v_centers[None, :])
     return steps, alpha, BarrierStencil.build(grid, barrier), values
@@ -455,7 +476,8 @@ def liouville_solve_nodal(
     """March the nodal scheme at fixed z samples; field shape (nx, nv, nodes)."""
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
     steps, alpha, stencil, values = _set_up_solve(
-        grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant
+        grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
+        z_nodes=z_nodes,
     )
 
     diag = {"truncation_events": 0}
@@ -487,10 +509,7 @@ def galerkin_rhs(
     diagnostics: dict | None = None,
 ) -> np.ndarray:
     """Time derivative of the coefficient field: evaluate, step, project."""
-    if rule.count < basis.size:
-        raise ConfigurationError(
-            ["quadrature rule must carry at least as many nodes as gPC modes"]
-        )
+    reject(chaos_problems(basis.max_order, rule.count))
     table = basis.values(rule.nodes)
     nodal = rhs_nodal(
         np.asarray(field, dtype=float) @ table,
@@ -522,12 +541,11 @@ def liouville_solve_gpc(
 ) -> LiouvilleRun:
     """March the gPC coefficient field; field shape (nx, nv, k + 1)."""
     steps, alpha, stencil, values = _set_up_solve(
-        grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant
+        grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
+        problems=chaos_problems(k, quad_count),
     )
-    if k < 0:
-        raise ConfigurationError(["gPC order must be >= 0"])
     basis = OrthonormalBasis(k)
-    rule = gauss_rule(quad_count if quad_count is not None else 2 * k + 2)
+    rule = chaos_rule(k, quad_count)
 
     diag = {"truncation_events": 0}
     rhs = lambda w: galerkin_rhs(

@@ -15,7 +15,18 @@ import numpy as np
 
 from .errors import DivergenceError
 
-__all__ = ["march"]
+__all__ = ["march", "time_steps"]
+
+
+def time_steps(t_final: float, dt: float) -> tuple[int, list[tuple[str, str]]]:
+    """Steps of size dt that reach t_final >= 0, and the problems if they do not."""
+    problems = []
+    if t_final < 0.0:
+        problems.append(("t_final", "final time must be >= 0"))
+    steps = int(round(t_final / dt))
+    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        problems.append(("dt", "final time must be an integer number of time steps"))
+    return steps, problems
 
 
 def march(

@@ -7,14 +7,13 @@ deterministic regardless of scheduling.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convection import ConvectionGrid, InterfaceCoefficient, run_convection
-from .errors import ConfigurationError
+from .errors import reject
 from .gpc import gauss_rule
 from .metrics import MomentField, error_quadrature_size, h_norm, l1_norm
 
@@ -23,6 +22,7 @@ __all__ = [
     "MeshSweepRow",
     "gpc_error_sweep",
     "mesh_error_sweep",
+    "thread_problems",
 ]
 
 
@@ -35,7 +35,6 @@ class GpcSweepRow:
     l1_variance: float
     l1_coeff: float
     h_distance: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,11 @@ class MeshSweepRow:
     l1_variance: float
     l1_total: float
     h_distance: float
-    wall_time: float
+
+
+def thread_problems(threads: int) -> list[tuple[str, str]]:
+    """The rule on the sweep worker count."""
+    return [("threads", "threads must be >= 1")] if threads < 1 else []
 
 
 def _map_ordered(func, items, threads: int):
@@ -73,26 +76,21 @@ def gpc_error_sweep(
     variance, the padded coefficients, and the mixed norm.
     """
     k_list = [int(k) for k in k_list]
-    problems = []
+    problems = thread_problems(threads)
     if not k_list:
-        problems.append("the chaos-order list must not be empty")
+        problems.append((None, "the chaos-order list must not be empty"))
     elif min(k_list) < 0:
-        problems.append("chaos orders must be >= 0")
+        problems.append((None, "chaos orders must be >= 0"))
     elif k_ref < max(k_list):
-        problems.append("the reference order must be >= every swept order")
-    if threads < 1:
-        problems.append("threads must be >= 1")
-    if problems:
-        raise ConfigurationError(problems)
+        problems.append((None, "the reference order must be >= every swept order"))
+    reject(problems)
 
     reference = np.asarray(solve(k_ref), dtype=float)
     ref_moments = MomentField.from_coeffs(reference)
     rule = gauss_rule(error_quadrature_size(k_ref))
 
     def one(k: int) -> GpcSweepRow:
-        started = time.perf_counter()
         field = np.asarray(solve(k), dtype=float)
-        elapsed = time.perf_counter() - started
         padded = np.zeros_like(reference)
         padded[..., : k + 1] = field
         diff = padded - reference
@@ -105,7 +103,6 @@ def gpc_error_sweep(
             l1_variance=l1_norm(moments.variance - ref_moments.variance, cell_measure),
             l1_coeff=l1_norm(diff, cell_measure),
             h_distance=h_norm(diff, cell_measure, rule),
-            wall_time=elapsed,
         )
 
     return _map_ordered(one, k_list, threads)
@@ -126,17 +123,14 @@ def mesh_error_sweep(
 ) -> list[MeshSweepRow]:
     """Error against the analytic solution on a family of meshes, dt = dt_ratio*dx."""
     dx_list = [float(dx) for dx in dx_list]
-    problems = []
+    problems = thread_problems(threads)
     if not dx_list:
-        problems.append("the mesh-width list must not be empty")
+        problems.append((None, "the mesh-width list must not be empty"))
     elif min(dx_list) <= 0.0:
-        problems.append("mesh widths must be positive")
+        problems.append((None, "mesh widths must be positive"))
     if dt_ratio <= 0.0:
-        problems.append("the time-step ratio must be positive")
-    if threads < 1:
-        problems.append("threads must be >= 1")
-    if problems:
-        raise ConfigurationError(problems)
+        problems.append((None, "the time-step ratio must be positive"))
+    reject(problems)
 
     def one(dx: float) -> MeshSweepRow:
         grid = ConvectionGrid.from_spacing(a, b, dx, dt_ratio * dx)
@@ -151,7 +145,6 @@ def mesh_error_sweep(
             l1_variance=report.l1_variance,
             l1_total=report.l1,
             h_distance=report.h_norm,
-            wall_time=run.diagnostics["wall_time"],
         )
 
     return _map_ordered(one, dx_list, threads)

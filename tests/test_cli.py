@@ -100,6 +100,15 @@ def test_check_reports_ok_or_fails_with_exit_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_small_chaos_rule_fails_check_and_run_with_exit_2(tmp_path, capsys):
+    text = "preset = example1_order1\nt_final = 0.1\n\n[random]\nk = 6\nm = 3\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["check", cfg]) == 2
+    assert "line 6: quadrature size m must be >= k + 1" in capsys.readouterr().err
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_divergence_exits_3_and_records_the_blowup(tmp_path, capsys):
     cfg = write_config(tmp_path, CONV_SMALL + "\n[random]\nsigma = nan\n")
     # the nan coefficient defeats every magnitude guard, then poisons step 1
@@ -133,6 +142,14 @@ def test_sweep_flag_validation(tmp_path, capsys):
     liou = write_config(tmp_path, LIOU_SMALL, name="liou.cfg")
     assert main(["sweep", liou, "--dx", "0.1,0.05"]) == 2  # mesh sweeps are convection-only
     capsys.readouterr()
+
+
+def test_sweeps_reject_a_quadrature_size(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONV_SMALL + "m = 4\n")
+    assert main(["check", cfg]) == 0
+    assert main(["sweep", cfg, "--k", "0,2", "--ref", "4"]) == 2
+    assert main(["sweep", cfg, "--dx", "0.05"]) == 2
+    assert "[random] m has no effect on sweep" in capsys.readouterr().err
 
 
 def test_chaos_sweep_needs_galerkin_mode(tmp_path, capsys):

@@ -1,8 +1,18 @@
 """Config parsing: presets, validation with line numbers, and round-trips."""
 
+import re
+
 import pytest
 
-from stochhyp import ConfigurationError
+from stochhyp import (
+    ConfigurationError,
+    ConvectionGrid,
+    InterfaceCoefficient,
+    PhaseSpaceGrid,
+    PotentialBarrier,
+    liouville_solve_gpc,
+    run_convection,
+)
 from stochhyp.config import (
     PRESETS,
     convection_parts,
@@ -114,3 +124,112 @@ def test_parts_builders_match_the_config():
     assert grid2.nx == 134
     assert barrier.v_left == 0.2
     assert barrier.max_force == pytest.approx(0.1)
+
+
+def test_keys_the_problem_never_reads_are_rejected():
+    text = (
+        "preset = example1_order1\nintegrator = rk2\nvflux = ratio\n"
+        "[random]\nalpha = 0.3\nslope_amp = 0.2\n"
+    )
+    found = violations_of(text)
+    assert "line 2: integrator has no effect on problem = convection" in found
+    assert "line 3: vflux has no effect on problem = convection" in found
+    assert "line 5: [random] alpha has no effect on problem = convection" in found
+    assert "line 6: [random] slope_amp has no effect on problem = convection" in found
+    found = violations_of("preset = example2_order1\n[random]\nsigma = 0.2\n")
+    assert found == ["line 3: [random] sigma has no effect on problem = liouville"]
+
+
+def test_rendering_leaves_out_the_other_problems_keys():
+    convection_text = render_config(parse_config("preset = example1_order1\n"))
+    for key in ("integrator", "vflux", "v_left", "slope_amp"):
+        assert key not in convection_text
+    liouville_text = render_config(parse_config("preset = example2_order1\n"))
+    for key in ("c_minus", "c_plus", "sigma"):
+        assert key not in liouville_text
+    assert "integrator = euler" in liouville_text
+
+
+def test_a_chaos_rule_smaller_than_the_basis_is_reported_at_m():
+    found = violations_of("preset = example1_order1\n[random]\nk = 6\nm = 3\n")
+    assert found == ["line 4: quadrature size m must be >= k + 1 = 7"]
+
+
+CONVECTION_BASE = """\
+problem = convection
+t_final = 0.1
+[grid]
+a = -1.0
+b = 1.0
+dx = 0.05
+dt = 0.01
+[random]
+k = 2
+"""
+
+LIOUVILLE_BASE = """\
+problem = liouville
+t_final = 0.05
+[grid]
+x_lo = -1.0
+x_hi = 1.0
+v_hi = 1.0
+nx = 10
+nv = 10
+dt = 0.01
+[random]
+k = 2
+"""
+
+
+def _solve_convection(k=2, t_final=0.1, dt=0.01, **options):
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, dt)
+    return run_convection(coef, grid, k, t_final, **options)
+
+
+def _solve_liouville(**options):
+    grid = PhaseSpaceGrid(-1.0, 1.0, 1.0, 10, 10, 0.01)
+    return liouville_solve_gpc(grid, PotentialBarrier(), 2, 0.05, **options)
+
+
+@pytest.mark.parametrize(
+    "text, solve",
+    [
+        ("order = 3\n" + CONVECTION_BASE, lambda: _solve_convection(order=3)),
+        ("profile = box\n" + CONVECTION_BASE, lambda: _solve_convection(profile="box")),
+        ("limiter = minmod\n" + CONVECTION_BASE, lambda: _solve_convection(kind="minmod")),
+        (
+            "order = 2\nintegrator = rk2\n" + LIOUVILLE_BASE,
+            lambda: _solve_liouville(order=2, integrator="rk2"),
+        ),
+        (LIOUVILLE_BASE + "alpha = 0.01\n", lambda: _solve_liouville(alpha=0.01)),
+        (CONVECTION_BASE.replace("dt = 0.01", "dt = 0.05"), lambda: _solve_convection(dt=0.05)),
+        (
+            CONVECTION_BASE.replace("t_final = 0.1", "t_final = 0.105"),
+            lambda: _solve_convection(t_final=0.105),
+        ),
+        (
+            CONVECTION_BASE.replace("k = 2", "k = 6\nm = 3"),
+            lambda: _solve_convection(k=6, quad_count=3),
+        ),
+        (LIOUVILLE_BASE + "m = 2\n", lambda: _solve_liouville(quad_count=2)),
+    ],
+    ids=[
+        "order_3",
+        "unknown_profile",
+        "unknown_limiter",
+        "order_2_rk2",
+        "low_alpha",
+        "cfl_breach",
+        "non_integer_steps",
+        "convection_m_below_k_plus_1",
+        "liouville_m_below_k_plus_1",
+    ],
+)
+def test_config_and_solver_reject_a_setting_with_the_same_message(text, solve):
+    # config runs the solvers' own rules and only adds the line number
+    from_config = [re.sub(r"^line \d+: ", "", v) for v in violations_of(text)]
+    with pytest.raises(ConfigurationError) as err:
+        solve()
+    assert err.value.violations == from_config

@@ -393,6 +393,12 @@ def test_run_rejects_bad_configs():
         run_convection(coef, good, 2, 1.0, profile="square_wave")
 
 
+def test_run_rejects_a_chaos_rule_smaller_than_the_basis():
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, 0.01)
+    with pytest.raises(ConfigurationError, match=r"m must be >= k \+ 1"):
+        run_convection(InterfaceCoefficient(1.0, 2.0, 0.3), grid, 6, 0.1, quad_count=3)
+
+
 def test_deterministic_reduction_is_bitwise():
     # no perturbation: every mode-0 column of the K=0 solve equals the
     # deterministic nodal march exactly

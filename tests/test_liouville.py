@@ -366,8 +366,21 @@ def test_solver_validation_messages():
         liouville_solve_nodal(grid, STEP, np.array([0.0]), 0.1, alpha=0.01)
     with pytest.raises(ConfigurationError, match="integer number"):
         liouville_solve_nodal(grid, STEP, np.array([0.0]), 0.0013)
+    with pytest.raises(ConfigurationError, match=r"\[-1, 1\]"):
+        liouville_solve_nodal(grid, STEP, np.array([5.0]), 0.1)
     with pytest.raises(ConfigurationError):
         liouville_solve_gpc(grid, STEP, -2, 0.1)
+
+
+def test_small_chaos_rule_is_rejected_before_the_first_step(monkeypatch):
+    import stochhyp.liouville as liouville
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(liouville, "advance", no_step)
+    with pytest.raises(ConfigurationError, match=r"m must be >= k \+ 1"):
+        liouville_solve_gpc(unit_grid(nx=20, nv=20), STEP, 6, 0.1, quad_count=3)
 
 
 def test_rk2_run_stays_close_to_euler():
