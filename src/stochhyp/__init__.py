@@ -43,7 +43,6 @@ from .gpc import (
     galerkin_matrix,
     gauss_rule,
     legendre_table,
-    moments,
     project,
 )
 from .limiters import BAP_KINDS, bap_slope, limiter_maps

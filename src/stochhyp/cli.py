@@ -14,35 +14,39 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import (
-    collocation_convection,
-    collocation_liouville,
-    convection_solve_nodal,
-    deterministic_liouville,
-)
+from .baselines import convection_solve_nodal
 from .config import (
     PRESETS,
     ExperimentConfig,
     convection_parts,
     liouville_parts,
     parse_config,
+    reads,
     render_config,
 )
 from .convection import PROFILES, AnalyticConvectionSolution, run_convection
 from .errors import ConfigurationError, DivergenceError
-from .liouville import liouville_solve_gpc
-from .metrics import MomentField, l1_norm, nodal_h_norm
+from .gpc import OrthonormalBasis, QuadratureRule, gauss_rule
+from .liouville import liouville_solve_gpc, liouville_solve_nodal
+from .metrics import (
+    MomentField,
+    error_quadrature_size,
+    l1_norm,
+    moments_from_samples,
+    nodal_h_norm,
+)
 from .sweeps import gpc_error_sweep, mesh_error_sweep
 
 __all__ = ["main"]
 
+# config fields that run.txt echoes, in file order, where the run reads them
+_ECHO = ("problem", "mode", "order", "t_final", "dt", "threads", "profile", "k", "m", "z")
 # solver diagnostics that run.txt reports, in file order, where a solver has them
 _DIAGNOSTICS = (
     "steps", "mass_drift_abs_max", "mass_drift_rel_max", "stencil_truncations",
@@ -94,22 +98,12 @@ def _write_fields(out: Path, lead: dict, moments: MomentField, value_header, val
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = {
-        "problem": config.problem,
-        "mode": config.mode,
-        "order": config.order,
-        "t_final": config.t_final,
-        "dt": config.dt,
-        "threads": config.threads,
-        "profile": config.profile,
+    read = reads(config.problem, config.mode, config.order)
+    return {
+        field: getattr(config, field)
+        for field in _ECHO
+        if field in read and getattr(config, field) is not None
     }
-    if config.k is not None:
-        echo["k"] = config.k
-    if config.m is not None:
-        echo["m"] = config.m
-    if config.mode == "deterministic":
-        echo["z"] = config.z
-    return echo
 
 
 def _convection_options(config: ExperimentConfig) -> dict:
@@ -117,9 +111,49 @@ def _convection_options(config: ExperimentConfig) -> dict:
     return dict(order=config.order, profile=config.profile, kind=config.limiter)
 
 
-def _liouville_options(config: ExperimentConfig) -> dict:
-    """Scheme keywords that every phase-space solver takes from the config."""
-    return dict(
+def _load_config(path: str) -> ExperimentConfig:
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ConfigurationError(["cannot read config file: %s" % err])
+    return parse_config(text)
+
+
+class _Problem(NamedTuple):
+    """One configured problem, ready to solve in any mode."""
+
+    lead: dict  # output coordinate columns, one entry per cell
+    grid_entries: dict  # grid spacings that run.txt reports
+    cell: float  # cell measure of the l1 norms
+    chaos: Callable  # (k, quad_count=None) -> (coefficients, moments, diagnostics)
+    nodal: Callable  # (z_nodes) -> (samples, nodes on the last axis, diagnostics)
+    errors: Callable | None  # (moments, values, rule) -> errors.csv columns
+
+
+def _problem(config: ExperimentConfig) -> _Problem:
+    """Build the parts of the configured problem; the solves look their solver up by name."""
+    t_final = config.t_final
+    if config.problem == "convection":
+        coef, grid = convection_parts(config)
+        scheme = _convection_options(config)
+
+        def chaos(k, quad_count=None):
+            run = run_convection(
+                coef, grid, k, t_final, quad_count=quad_count, compare_analytic=False, **scheme
+            )
+            return run.coeffs, run.moments, run.diagnostics
+
+        return _Problem(
+            {"x": grid.centers},
+            {"dx": grid.dx, "interface_shift": grid.shift},
+            grid.dx,
+            chaos,
+            lambda z_nodes: convection_solve_nodal(coef, grid, z_nodes, t_final, **scheme),
+            lambda *run: _convection_errors(config, coef, grid, *run),
+        )
+
+    grid, barrier = liouville_parts(config)
+    scheme = dict(
         order=config.order,
         integrator=config.integrator,
         alpha=config.alpha,
@@ -128,126 +162,75 @@ def _liouville_options(config: ExperimentConfig) -> dict:
         vflux_variant=config.vflux,
     )
 
+    def chaos(k, quad_count=None):
+        run = liouville_solve_gpc(grid, barrier, k, t_final, quad_count=quad_count, **scheme)
+        return run.field, run.moments, run.diagnostics
 
-def _apply_thread_env(config: ExperimentConfig) -> ExperimentConfig:
-    raw = os.environ.get("STOCH_HYP_THREADS")
-    if raw is None:
-        return config
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigurationError(["STOCH_HYP_THREADS must be an integer"])
-    if threads < 1:
-        raise ConfigurationError(["STOCH_HYP_THREADS must be >= 1"])
-    return replace(config, threads=threads)
+    def nodal(z_nodes):
+        run = liouville_solve_nodal(grid, barrier, z_nodes, t_final, **scheme)
+        return run.field, run.diagnostics
 
-
-def _load_config(path: str) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise ConfigurationError(["cannot read config file: %s" % err])
-    return _apply_thread_env(parse_config(text))
+    return _Problem(
+        {"x": np.repeat(grid.x_centers, grid.nv), "v": np.tile(grid.v_centers, grid.nx)},
+        {"dx": grid.dx, "dv": grid.dv},
+        grid.dx * grid.dv,
+        chaos,
+        nodal,
+        None,
+    )
 
 
-def _run_convection(config: ExperimentConfig, out: Path) -> dict:
-    coef, grid = convection_parts(config)
-    x = grid.centers
+def _convection_errors(config, coef, grid, moments: MomentField, values, rule) -> dict:
+    """l1 errors of the moments and the mixed distance against the exact solution.
+
+    `values` are the samples of a nodal run at `rule`; the coefficients of a
+    chaos run are sampled at the error rule instead.  A deterministic run
+    compares with the exact solution at its one z, the others with the exact
+    moments over z.
+    """
     exact = AnalyticConvectionSolution(coef, PROFILES[config.profile])
-    summary = _config_echo(config)
-    summary["dx"] = grid.dx
-    summary["interface_shift"] = grid.shift
-
-    common = _convection_options(config)
+    x, t_final = grid.centers, config.t_final
     if config.mode == "gpc_sg":
-        run = run_convection(
-            coef, grid, config.k, config.t_final, quad_count=config.m, **common
-        )
-        moments = run.moments
-        value_header = ["c%d" % j for j in range(config.k + 1)]
-        values = run.coeffs
-        errors = {
-            "l1_expectation": run.report.l1_expectation,
-            "l1_variance": run.report.l1_variance,
-            "l1_total": run.report.l1,
-            "h_distance": run.report.h_norm,
-        }
-        diag = run.diagnostics
-    elif config.mode == "collocation":
-        run = collocation_convection(coef, grid, config.m, config.t_final, **common)
-        moments = run.moments
-        value_header = ["node%d" % j for j in range(run.rule.count)]
-        values = run.fields
-        exact_moments = exact.moments(x, config.t_final)
-        exact_nodal = exact.value(x[:, None], config.t_final, run.rule.nodes[None, :])
-        l1_e = l1_norm(moments.expectation - exact_moments.expectation, grid.dx)
-        l1_v = l1_norm(moments.variance - exact_moments.variance, grid.dx)
-        errors = {
-            "l1_expectation": l1_e,
-            "l1_variance": l1_v,
-            "l1_total": l1_e + l1_v,
-            "h_distance": nodal_h_norm(run.fields - exact_nodal, grid.dx, run.rule),
-        }
-        diag = run.diagnostics
+        rule = gauss_rule(error_quadrature_size(config.k))
+        values = values @ OrthonormalBasis(config.k).values(rule.nodes)
+    exact_nodal = exact.value(x[:, None], t_final, rule.nodes[None, :])
+    if config.mode == "deterministic":
+        exact_moments = moments_from_samples(exact_nodal, rule)
     else:
-        values, diag = convection_solve_nodal(
-            coef, grid, [config.z], config.t_final, **common
-        )
-        values = values[:, 0]
-        moments = MomentField(values, np.zeros_like(values))
-        value_header = ["value"]
-        l1_e = l1_norm(values - exact.value(x, config.t_final, config.z), grid.dx)
-        errors = {
-            "l1_expectation": l1_e,
-            "l1_variance": 0.0,
-            "l1_total": l1_e,
-            "h_distance": l1_e,
-        }
-
-    _write_fields(out, {"x": x}, moments, value_header, values)
-    _write_csv(out / "errors.csv", list(errors), [list(errors.values())])
-    summary.update((key, diag[key]) for key in _DIAGNOSTICS if key in diag)
-    return summary
+        exact_moments = exact.moments(x, t_final)
+    l1_e = l1_norm(moments.expectation - exact_moments.expectation, grid.dx)
+    l1_v = l1_norm(moments.variance - exact_moments.variance, grid.dx)
+    return {
+        "l1_expectation": l1_e,
+        "l1_variance": l1_v,
+        "l1_total": l1_e + l1_v,
+        "h_distance": nodal_h_norm(values - exact_nodal, grid.dx, rule),
+    }
 
 
-def _run_liouville(config: ExperimentConfig, out: Path) -> dict:
-    grid, barrier = liouville_parts(config)
-    xs = np.repeat(grid.x_centers, grid.nv)
-    vs = np.tile(grid.v_centers, grid.nx)
-    summary = _config_echo(config)
-    summary["dx"] = grid.dx
-    summary["dv"] = grid.dv
-
-    common = _liouville_options(config)
+def _run(config: ExperimentConfig, out: Path) -> dict:
+    problem = _problem(config)
     if config.mode == "gpc_sg":
-        run = liouville_solve_gpc(
-            grid,
-            barrier,
-            config.k,
-            config.t_final,
-            quad_count=config.m,
-            **common,
-        )
-        moments = run.moments
+        rule = None
+        values, moments, diag = problem.chaos(config.k, config.m)
         value_header = ["c%d" % j for j in range(config.k + 1)]
-        values = run.field
-        diag = run.diagnostics
     elif config.mode == "collocation":
-        run = collocation_liouville(
-            grid, barrier, config.m, config.t_final, **common
-        )
-        moments = run.moments
-        value_header = ["node%d" % j for j in range(run.rule.count)]
-        values = run.fields
-        diag = run.diagnostics
+        rule = gauss_rule(config.m)
+        values, diag = problem.nodal(rule.nodes)
+        moments = moments_from_samples(values, rule)
+        value_header = ["node%d" % j for j in range(rule.count)]
     else:
-        values, diag = deterministic_liouville(
-            grid, barrier, config.z, config.t_final, **common
-        )
-        moments = MomentField(values, np.zeros_like(values))
+        # one sample of weight one: the moments are the value and zero
+        rule = QuadratureRule(np.array([config.z]), np.ones(1))
+        values, diag = problem.nodal(rule.nodes)
+        moments = moments_from_samples(values, rule)
         value_header = ["value"]
 
-    _write_fields(out, {"x": xs, "v": vs}, moments, value_header, values)
+    _write_fields(out, problem.lead, moments, value_header, values)
+    if problem.errors is not None:
+        errors = problem.errors(moments, values, rule)
+        _write_csv(out / "errors.csv", list(errors), [list(errors.values())])
+    summary = dict(_config_echo(config), **problem.grid_entries)
     summary.update((key, diag[key]) for key in _DIAGNOSTICS if key in diag)
     return summary
 
@@ -257,10 +240,7 @@ def _cmd_run(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if config.problem == "convection":
-            summary = _run_convection(config, out)
-        else:
-            summary = _run_liouville(config, out)
+        summary = _run(config, out)
     except DivergenceError as err:
         summary = _config_echo(config)
         summary.update(status="diverged", step=err.step, where=err.where)
@@ -308,26 +288,10 @@ def _cmd_sweep(args) -> int:
             raise ConfigurationError(["--k requires --ref for the reference order"])
         k_list = _parse_k_list(args.k)
         _require_monotone(k_list, "--k")
-        if config.problem == "convection":
-            coef, grid = convection_parts(config)
-            cell = grid.dx
-
-            def solve(k: int):
-                return run_convection(
-                    coef, grid, k, config.t_final, compare_analytic=False,
-                    **_convection_options(config),
-                ).coeffs
-
-        else:
-            grid, barrier = liouville_parts(config)
-            cell = grid.dx * grid.dv
-
-            def solve(k: int):
-                return liouville_solve_gpc(
-                    grid, barrier, k, config.t_final, **_liouville_options(config)
-                ).field
-
-        rows = gpc_error_sweep(solve, k_list, args.ref, cell, threads=config.threads)
+        problem = _problem(config)
+        rows = gpc_error_sweep(
+            lambda k: problem.chaos(k)[0], k_list, args.ref, problem.cell, threads=config.threads
+        )
         header = ["k", "l1_expectation", "l1_variance", "l1_coeff", "h_distance"]
         table = [
             [row.k, row.l1_expectation, row.l1_variance, row.l1_coeff, row.h_distance]

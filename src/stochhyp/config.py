@@ -4,6 +4,8 @@ The format is one `key = value` per line with `#` comments.  Keys live either
 at the top of the file or under the sections `[grid]`, `[random]`, `[output]`.
 Parsing collects every violation it can find (with line numbers) instead of
 stopping at the first, and `parse_config(render_config(cfg))` round-trips.
+`reads(problem, mode, order)` names the fields a run reads: a file that sets
+any other key is rejected at its line, and a preset's other values are dropped.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "render_config",
+    "reads",
     "convection_parts",
     "liouville_parts",
 ]
@@ -35,12 +38,12 @@ MODES = ("gpc_sg", "collocation", "deterministic")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully specified experiment; None marks fields the problem omits."""
+    """One fully specified experiment; None marks fields the run leaves unset."""
 
-    problem: str
+    problem: str | None = None
     mode: str = "gpc_sg"
     order: int = 1
-    t_final: float = 1.0
+    t_final: float | None = None
     profile: str = "cos_bump"
     limiter: str = "arctan"
     integrator: str = "euler"
@@ -105,14 +108,6 @@ _SCHEMA = {
 }
 _PLACE = {field: (sec, key) for (sec, key), (field, _) in _SCHEMA.items()}
 _SECTIONS = ("grid", "random", "output")
-# per problem, the fields that only the other problem reads
-_UNREAD = {
-    "convection": (
-        "integrator", "vflux", "x_lo", "x_hi", "v_hi", "nx", "nv",
-        "v_left", "v_right", "slope_amp", "alpha",
-    ),
-    "liouville": ("a", "b", "dx", "c_minus", "c_plus", "sigma"),
-}
 
 _EX1 = dict(
     problem="convection",
@@ -159,6 +154,31 @@ PRESETS: dict[str, dict] = {
     ),
     "example2_sine": dict(_EX2, mode="gpc_sg", k=4, profile="sine_disk"),
 }
+
+
+def reads(problem: str | None, mode: str, order: int) -> tuple[str, ...]:
+    """The config fields that a run of this problem, mode and order reads."""
+    fields = ["problem", "mode", "order", "t_final", "dt", "profile", "threads", "out_dir"]
+    if problem == "convection":
+        fields += ["a", "b", "dx", "c_minus", "c_plus", "sigma"]
+    elif problem == "liouville":
+        fields += ["x_lo", "x_hi", "v_hi", "nx", "nv", "v_left", "v_right", "slope_amp", "integrator"]
+        if order == 1:
+            # the order-2 v-flux (_vflux_second) reads neither
+            fields += ["vflux", "alpha"]
+    if order == 2:
+        fields.append("limiter")
+    fields += {"gpc_sg": ["k", "m"], "collocation": ["m"], "deterministic": ["z"]}[mode]
+    return tuple(fields)
+
+
+def _no_effect(field: str, problem: str, mode: str, order: int) -> str:
+    """Why a field that the run does not read has no effect."""
+    if not any(field in reads(problem, other, n) for other in MODES for n in (1, 2)):
+        return "%s has no effect on problem = %s" % (_spot(field), problem)
+    if not any(field in reads(problem, mode, n) for n in (1, 2)):
+        return "%s has no effect on mode = %s" % (_spot(field), mode)
+    return "%s has no effect at order = %d" % (_spot(field), order)
 
 
 def _spot(field: str) -> str:
@@ -234,27 +254,25 @@ def parse_config(text: str) -> ExperimentConfig:
     if "profile" not in assigned and problem is not None:
         assigned["profile"] = "cos_bump" if problem == "convection" else "quarter_disks"
 
-    required = ["problem", "t_final", "dt"]
-    if problem == "convection":
-        required += ["a", "b", "dx"]
-    elif problem == "liouville":
-        required += ["x_lo", "x_hi", "v_hi", "nx", "nv"]
-    if mode == "gpc_sg":
-        required.append("k")
-    elif mode == "collocation":
-        required.append("m")
-    for field in required:
-        if field not in assigned:
+    read = reads(problem, mode, assigned.get("order", 1))
+    # a field the run reads needs a value, unless it has a default; alpha and,
+    # under gpc_sg, the rule size m are optional: None selects the solver's rule
+    optional = ("alpha", "m") if mode == "gpc_sg" else ("alpha",)
+    for field in read:
+        unset = field not in assigned and getattr(ExperimentConfig, field) is None
+        if unset and field not in optional:
             violations.append("missing required key %s" % _spot(field))
 
-    config = ExperimentConfig(**dict(assigned, problem=problem, mode=mode))
-    violations.extend(_domain_checks(config, assigned, where))
+    # a value the run does not read is left out: a file's is reported below, a preset's dropped
+    kept = {field: value for field, value in assigned.items() if field in read}
+    config = ExperimentConfig(**dict(kept, problem=problem, mode=mode))
+    violations.extend(_domain_checks(config, where))
     if violations:
         raise ConfigurationError(violations)
     return config
 
 
-def _domain_checks(cfg: ExperimentConfig, assigned: dict, where: dict[str, int]) -> list[str]:
+def _domain_checks(cfg: ExperimentConfig, where: dict[str, int]) -> list[str]:
     """Config's own rules, then the rules the solvers apply, at their fields' lines."""
     problems: list[str] = []
 
@@ -264,15 +282,17 @@ def _domain_checks(cfg: ExperimentConfig, assigned: dict, where: dict[str, int])
 
     if cfg.m is not None and cfg.m < 1:
         bad("m", "quadrature size m must be >= 1")
-    for field in _UNREAD.get(cfg.problem, ()):
-        if field in assigned:
-            bad(field, "%s has no effect on problem = %s" % (_spot(field), cfg.problem))
+    if cfg.problem is not None:
+        read = reads(cfg.problem, cfg.mode, cfg.order)
+        for field in where:
+            if field not in read:
+                bad(field, _no_effect(field, cfg.problem, cfg.mode, cfg.order))
 
     tagged = thread_problems(cfg.threads)
     if cfg.t_final is not None and cfg.dt is not None and cfg.dt > 0.0:
         tagged += time_steps(cfg.t_final, cfg.dt)[1]
     if cfg.k is not None:
-        tagged += chaos_problems(cfg.k, cfg.m if cfg.mode == "gpc_sg" else None)
+        tagged += chaos_problems(cfg.k, cfg.m)
     if cfg.problem == "convection":
         coef = grid = None
         if None not in (cfg.a, cfg.b, cfg.dx, cfg.dt):
@@ -314,10 +334,11 @@ def liouville_parts(config: ExperimentConfig):
 
 def render_config(config: ExperimentConfig) -> str:
     """Config text that parses back to an equal ExperimentConfig; unread fields left out."""
+    read = reads(config.problem, config.mode, config.order)
     by_section: dict[str, list[str]] = {"": [], "grid": [], "random": [], "output": []}
     for (section, key), (field, _) in _SCHEMA.items():
         value = getattr(config, field)
-        if value is None or field in _UNREAD[config.problem]:
+        if value is None or field not in read:
             continue
         by_section[section].append("%s = %s" % (key, value))
     lines = by_section[""]

@@ -90,11 +90,11 @@ class ConvectionGrid:
     @classmethod
     def from_spacing(cls, a: float, b: float, dx: float, dt: float) -> "ConvectionGrid":
         problems = []
-        if not (a < 0.0 < b):
-            problems.append("domain [a, b] must straddle x = 0")
-        if dx <= 0.0:
+        if not -np.inf < a < 0.0 < b < np.inf:
+            problems.append("domain [a, b] must be finite and straddle x = 0")
+        if not dx > 0.0:
             problems.append("dx must be positive")
-        if dt <= 0.0:
+        if not dt > 0.0:
             problems.append("dt must be positive")
         if problems:
             raise ConfigurationError(problems)

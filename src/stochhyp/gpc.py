@@ -7,7 +7,7 @@ approximate probabilistic expectations directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "project",
     "deterministic_coeffs",
     "evaluate",
-    "moments",
 ]
 
 
@@ -52,7 +51,6 @@ class OrthonormalBasis:
     """
 
     max_order: int
-    density: str = field(default="uniform(-1,1)", repr=False)
 
     def __post_init__(self) -> None:
         reject(chaos_problems(self.max_order))
@@ -69,13 +67,6 @@ class OrthonormalBasis:
         table = legendre_table(self.max_order, z)
         scale = np.sqrt(2.0 * np.arange(self.max_order + 1) + 1.0)
         return table * scale[:, None]
-
-    def eval(self, k: int, z: float | np.ndarray) -> float | np.ndarray:
-        """Single basis polynomial P_k at z."""
-        if not 0 <= k <= self.max_order:
-            raise ValueError(f"basis order {k} outside 0..{self.max_order}")
-        vals = self.values(np.atleast_1d(z))[k]
-        return float(vals[0]) if np.isscalar(z) else vals
 
 
 @dataclass(frozen=True)
@@ -194,11 +185,3 @@ def evaluate(coeffs: np.ndarray, basis: OrthonormalBasis, z: float | np.ndarray)
     table = basis.values(np.atleast_1d(z))
     vals = coeffs @ table
     return float(vals[0]) if np.isscalar(z) and vals.ndim == 1 else vals
-
-
-def moments(coeffs: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of an orthonormal expansion: (c_0, sum_{k>=1} c_k^2)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1:
-        raise ValueError("moments expects a single coefficient vector")
-    return float(coeffs[0]), float(np.sum(coeffs[1:] ** 2))

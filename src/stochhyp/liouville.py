@@ -62,15 +62,15 @@ class PhaseSpaceGrid:
 
     def __post_init__(self) -> None:
         problems = []
-        if not (self.x_lo < 0.0 < self.x_hi):
-            problems.append("x range must straddle the barrier at x = 0")
-        if self.v_hi <= 0.0:
+        if not -np.inf < self.x_lo < 0.0 < self.x_hi < np.inf:
+            problems.append("x range must be finite and straddle the barrier at x = 0")
+        if not self.v_hi > 0.0:
             problems.append("v range must be symmetric with positive extent")
         if self.nx < 4 or self.nv < 4:
             problems.append("need at least 4 cells per direction")
         if self.nv % 2 != 0:
             problems.append("nv must be even so v = 0 is a cell edge")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             problems.append("dt must be positive")
         if not problems:
             dx = (self.x_hi - self.x_lo) / self.nx

@@ -20,6 +20,8 @@ __all__ = ["march", "time_steps"]
 
 def time_steps(t_final: float, dt: float) -> tuple[int, list[tuple[str, str]]]:
     """Steps of size dt that reach t_final >= 0, and the problems if they do not."""
+    if not np.isfinite(t_final):
+        return 0, [("t_final", "final time must be finite")]
     problems = []
     if t_final < 0.0:
         problems.append(("t_final", "final time must be >= 0"))

@@ -3,8 +3,24 @@
 import numpy as np
 import pytest
 
+from stochhyp import (
+    PROFILES,
+    AnalyticConvectionSolution,
+    ConvectionGrid,
+    InterfaceCoefficient,
+    PhaseSpaceGrid,
+    PotentialBarrier,
+    collocation_convection,
+    collocation_liouville,
+    deterministic_convection,
+    deterministic_liouville,
+    l1_norm,
+    liouville_solve_gpc,
+    run_convection,
+)
 from stochhyp.cli import main
 from stochhyp.config import PRESETS, parse_config
+from stochhyp.metrics import nodal_h_norm
 
 CONV_SMALL = """\
 problem = convection
@@ -184,14 +200,99 @@ def test_single_point_mesh_sweep_matches_the_run_errors(tmp_path):
     np.testing.assert_allclose(sweep_errors, run_errors, rtol=1e-10)
 
 
-def test_thread_env_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, CONV_SMALL)
-    assert main(["sweep", cfg, "--k", "0,2", "--ref", "4"]) == 0
-    serial = (tmp_path / "out" / "sweep.csv").read_bytes()
-    monkeypatch.setenv("STOCH_HYP_THREADS", "2")
-    assert main(["sweep", cfg, "--k", "0,2", "--ref", "4"]) == 0
-    assert (tmp_path / "out" / "sweep.csv").read_bytes() == serial
-    monkeypatch.setenv("STOCH_HYP_THREADS", "banana")
+NON_FINITE = {
+    "t_final_nan": CONV_SMALL.replace("t_final = 0.1", "t_final = nan"),
+    "t_final_inf": LIOU_SMALL.replace("t_final = 0.05", "t_final = inf"),
+    "convection_dt_nan": CONV_SMALL.replace("dt = 0.01", "dt = nan"),
+    "liouville_dt_nan": LIOU_SMALL.replace("dt = 0.01", "dt = nan"),
+    "dx_nan": CONV_SMALL.replace("dx = 0.05", "dx = nan"),
+    "v_hi_nan": LIOU_SMALL.replace("v_hi = 1.0", "v_hi = nan"),
+    "a_minus_inf": CONV_SMALL.replace("a = -1.0", "a = -inf"),
+    "x_lo_minus_inf": LIOU_SMALL.replace("x_lo = -1.0", "x_lo = -inf"),
+}
+
+
+@pytest.mark.parametrize("text", list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_non_finite_grid_or_time_values_exit_2(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, text)
+    assert main(["check", cfg]) == 2
     assert main(["run", cfg]) == 2
-    monkeypatch.setenv("STOCH_HYP_THREADS", "0")
-    assert main(["run", cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+MODE_KEYS = {"gpc_sg": "k = 2", "collocation": "m = 3", "deterministic": "z = 0.3"}
+
+
+def _pair_text(problem, mode):
+    if problem == "convection":
+        return CONV_SMALL.replace(
+            "mode = gpc_sg", "mode = %s\norder = 2\nlimiter = tanh" % mode
+        ).replace("k = 2", MODE_KEYS[mode])
+    return LIOU_SMALL.replace("deterministic", mode) + "\n[random]\nalpha = 0.2\n%s\n" % (
+        MODE_KEYS[mode]
+    )
+
+
+def _convection_reference(mode):
+    """Values, moments and errors from the library solvers, as the run before this CLI."""
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, 0.01)
+    options = dict(order=2, kind="tanh")
+    if mode == "gpc_sg":
+        run = run_convection(coef, grid, 2, 0.1, **options)
+        report = run.report
+        errors = [report.l1_expectation, report.l1_variance, report.l1, report.h_norm]
+        return run.coeffs, run.moments.expectation, run.moments.variance, errors
+    x = grid.centers
+    exact = AnalyticConvectionSolution(coef, PROFILES["cos_bump"])
+    if mode == "collocation":
+        run = collocation_convection(coef, grid, 3, 0.1, **options)
+        exact_moments = exact.moments(x, 0.1)
+        l1_e = l1_norm(run.moments.expectation - exact_moments.expectation, grid.dx)
+        l1_v = l1_norm(run.moments.variance - exact_moments.variance, grid.dx)
+        exact_nodal = exact.value(x[:, None], 0.1, run.rule.nodes[None, :])
+        h = nodal_h_norm(run.fields - exact_nodal, grid.dx, run.rule)
+        errors = [l1_e, l1_v, l1_e + l1_v, h]
+        return run.fields, run.moments.expectation, run.moments.variance, errors
+    values = deterministic_convection(coef, grid, 0.3, 0.1, **options)
+    l1_e = l1_norm(values - exact.value(x, 0.1, 0.3), grid.dx)
+    return values, values, np.zeros_like(values), [l1_e, 0.0, l1_e, l1_e]
+
+
+def _liouville_reference(mode):
+    grid = PhaseSpaceGrid(-1.0, 1.0, 1.0, 10, 10, 0.01)
+    barrier = PotentialBarrier()
+    if mode == "gpc_sg":
+        run = liouville_solve_gpc(grid, barrier, 2, 0.05, alpha=0.2)
+        return run.field, run.moments.expectation, run.moments.variance, None
+    if mode == "collocation":
+        run = collocation_liouville(grid, barrier, 3, 0.05, alpha=0.2)
+        return run.fields, run.moments.expectation, run.moments.variance, None
+    values, _ = deterministic_liouville(grid, barrier, 0.3, 0.05, alpha=0.2)
+    return values, values, np.zeros_like(values), None
+
+
+def _table(path, lead):
+    header, rows = read_rows(path)
+    return np.array([[float(v) for v in row[lead:]] for row in rows])
+
+
+@pytest.mark.parametrize("mode", list(MODE_KEYS))
+@pytest.mark.parametrize("problem", ["convection", "liouville"])
+def test_run_writes_the_library_solvers_arrays(tmp_path, problem, mode):
+    assert main(["run", write_config(tmp_path, _pair_text(problem, mode))]) == 0
+    out = tmp_path / "out"
+    reference = _convection_reference if problem == "convection" else _liouville_reference
+    values, expectation, variance, errors = reference(mode)
+    lead = 1 if problem == "convection" else 2
+    # 17 significant digits round-trip every double, so the match is exact
+    moments = _table(out / "moments.csv", lead)
+    np.testing.assert_array_equal(moments[:, 0], expectation.reshape(-1))
+    np.testing.assert_array_equal(moments[:, 1], variance.reshape(-1))
+    coeffs = _table(out / "coeffs.csv", lead)
+    np.testing.assert_array_equal(coeffs, values.reshape(len(coeffs), -1))
+    if errors is None:
+        assert not (out / "errors.csv").exists()
+    else:
+        np.testing.assert_array_equal(_table(out / "errors.csv", 0)[0], errors)

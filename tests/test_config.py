@@ -150,6 +150,56 @@ def test_rendering_leaves_out_the_other_problems_keys():
     assert "integrator = euler" in liouville_text
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "preset = example2_deterministic\n[random]\nm = 4\nk = 3\n",
+            [
+                "line 3: [random] m has no effect on mode = deterministic",
+                "line 4: [random] k has no effect on mode = deterministic",
+            ],
+        ),
+        (
+            "preset = example1_order1\n[random]\nz = 0.5\n",
+            ["line 3: [random] z has no effect on mode = gpc_sg"],
+        ),
+        (
+            "preset = example1_collocation\n[random]\nk = 7\n",
+            ["line 3: [random] k has no effect on mode = collocation"],
+        ),
+        (
+            "preset = example1_order1\nlimiter = tanh\n",
+            ["line 2: limiter has no effect at order = 1"],
+        ),
+        (
+            "preset = example2_order2\nvflux = ratio\n",
+            ["line 2: vflux has no effect at order = 2"],
+        ),
+        (
+            "preset = example2_order2\n[random]\nalpha = 0.5\n",
+            ["line 3: [random] alpha has no effect at order = 2"],
+        ),
+    ],
+    ids=[
+        "m_and_k_deterministic",
+        "z_gpc_sg",
+        "k_collocation",
+        "limiter_order_1",
+        "vflux_liouville_order_2",
+        "alpha_liouville_order_2",
+    ],
+)
+def test_keys_the_mode_or_order_never_reads_are_rejected(text, expected):
+    assert violations_of(text) == expected
+
+
+def test_a_preset_switched_to_another_mode_drops_what_it_no_longer_reads():
+    cfg = parse_config("preset = example1_order1\nmode = collocation\n[random]\nm = 8\n")
+    assert (cfg.mode, cfg.k, cfg.m) == ("collocation", None, 8)
+    assert parse_config(render_config(cfg)) == cfg
+
+
 def test_a_chaos_rule_smaller_than_the_basis_is_reported_at_m():
     found = violations_of("preset = example1_order1\n[random]\nk = 6\nm = 3\n")
     assert found == ["line 4: quadrature size m must be >= k + 1 = 7"]
@@ -198,7 +248,10 @@ def _solve_liouville(**options):
     [
         ("order = 3\n" + CONVECTION_BASE, lambda: _solve_convection(order=3)),
         ("profile = box\n" + CONVECTION_BASE, lambda: _solve_convection(profile="box")),
-        ("limiter = minmod\n" + CONVECTION_BASE, lambda: _solve_convection(kind="minmod")),
+        (
+            "order = 2\nlimiter = minmod\n" + CONVECTION_BASE,
+            lambda: _solve_convection(order=2, kind="minmod"),
+        ),
         (
             "order = 2\nintegrator = rk2\n" + LIOUVILLE_BASE,
             lambda: _solve_liouville(order=2, integrator="rk2"),

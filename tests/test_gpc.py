@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from stochhyp import (
+    MomentField,
     OrthonormalBasis,
     QuadratureRule,
     evaluate,
     galerkin_matrix,
     gauss_rule,
-    moments,
     project,
 )
 
@@ -29,21 +29,21 @@ def tridiagonal_coupling(size: int) -> np.ndarray:
 
 def test_mode_zero_is_one_everywhere():
     basis = OrthonormalBasis(4)
-    assert basis.eval(0, 0.7) == 1.0
+    assert basis.values([0.7])[0, 0] == 1.0
     assert np.all(basis.values(np.linspace(-1, 1, 9))[0] == 1.0)
 
 
 def test_first_mode_matches_hand_value():
     # sqrt(3) * z at z = 0.5
     basis = OrthonormalBasis(3)
-    assert basis.eval(1, 0.5) == pytest.approx(np.sqrt(3) * 0.5, abs=1e-15)
+    assert basis.values([0.5])[1, 0] == pytest.approx(np.sqrt(3) * 0.5, abs=1e-15)
 
 
 def test_endpoint_value_is_sqrt_scale():
     # unnormalized Legendre polynomials are 1 at z = 1
     basis = OrthonormalBasis(5)
     for k in range(6):
-        assert basis.eval(k, 1.0) == pytest.approx(np.sqrt(2 * k + 1), rel=1e-14)
+        assert basis.values([1.0])[k, 0] == pytest.approx(np.sqrt(2 * k + 1), rel=1e-14)
 
 
 def test_values_match_independent_recurrence():
@@ -59,11 +59,7 @@ def test_values_match_independent_recurrence():
 def test_basis_domain_errors():
     basis = OrthonormalBasis(3)
     with pytest.raises(ValueError):
-        basis.eval(4, 0.0)
-    with pytest.raises(ValueError):
-        basis.eval(-1, 0.0)
-    with pytest.raises(ValueError):
-        basis.eval(1, 1.5)
+        basis.values([1.5])
     with pytest.raises(ValueError):
         basis.values(np.array([0.0, -1.0001]))
 
@@ -242,13 +238,14 @@ def test_parseval_identity():
 
 
 def test_moments_of_deterministic_vector():
-    assert moments(np.array([2.0, 0.0, 0.0])) == (2.0, 0.0)
+    mf = MomentField.from_coeffs(np.array([2.0, 0.0, 0.0]))
+    assert (mf.expectation, mf.variance) == (2.0, 0.0)
 
 
 def test_moments_of_unit_first_mode():
-    expectation, variance = moments(np.array([0.0, 1.0, 0.0]))
-    assert expectation == 0.0
-    assert variance == 1.0
+    mf = MomentField.from_coeffs(np.array([0.0, 1.0, 0.0]))
+    assert mf.expectation == 0.0
+    assert mf.variance == 1.0
 
 
 def test_moments_of_projected_linear_sample():
@@ -256,13 +253,12 @@ def test_moments_of_projected_linear_sample():
     basis = OrthonormalBasis(4)
     rule = gauss_rule(8)
     coeffs = project(rule.nodes.copy(), basis, rule)
-    expectation, variance = moments(coeffs)
-    assert expectation == pytest.approx(0.0, abs=1e-15)
-    assert variance == pytest.approx(1.0 / 3.0, rel=1e-13)
+    mf = MomentField.from_coeffs(coeffs)
+    assert mf.expectation == pytest.approx(0.0, abs=1e-15)
+    assert mf.variance == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
 def test_variance_is_never_negative():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        _, variance = moments(rng.standard_normal(6))
-        assert variance >= 0.0
+        assert MomentField.from_coeffs(rng.standard_normal(6)).variance >= 0.0
