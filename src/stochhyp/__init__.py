@@ -3,17 +3,13 @@
 Polynomial chaos expansions in a single uniform random variable are applied
 to fully discrete finite volume schemes: a 1D convection equation whose wave
 speed jumps at x = 0, and a phase-space transport equation with a potential
-barrier.  Collocation and deterministic reference solvers, error metrics,
+barrier.  Nodal (collocation and deterministic) reference solvers, metrics,
 convergence sweeps, and a CLI harness round out the package.
 """
 
 from .baselines import (
-    CollocationRun,
     barrier_step_characteristics,
-    collocation_convection,
-    collocation_liouville,
     convection_solve_nodal,
-    deterministic_convection,
     deterministic_liouville,
 )
 from .config import (
@@ -33,13 +29,13 @@ from .convection import (
     ConvectionRun,
     InterfaceCoefficient,
     build_lambda_matrices,
+    convection_errors,
     run_convection,
 )
 from .errors import ConfigurationError, DivergenceError
 from .gpc import (
     OrthonormalBasis,
     QuadratureRule,
-    evaluate,
     galerkin_matrix,
     gauss_rule,
     legendre_table,
@@ -57,13 +53,7 @@ from .liouville import (
     liouville_solve_nodal,
     resolve_interface,
 )
-from .metrics import (
-    ErrorReport,
-    MomentField,
-    h_norm,
-    l1_norm,
-    moments_from_samples,
-)
+from .metrics import MomentField, h_norm, l1_norm, moments_from_samples
 from .sweeps import GpcSweepRow, MeshSweepRow, gpc_error_sweep, mesh_error_sweep
 
 __version__ = "0.1.0"

@@ -1,14 +1,13 @@
-"""Stochastic collocation and single-sample reference solvers.
+"""Nodal reference solvers and the exact step-potential characteristics.
 
-Collocation marches the deterministic scheme at Gauss-Legendre nodes in z and
-aggregates moments by quadrature; the per-node runs are batched over a trailing
-node axis so they share the grid machinery (and the barrier stencil, which is
-z-independent) while staying exactly the independent deterministic solves.
+The nodal solvers march the deterministic scheme at fixed samples of z,
+batched over a trailing node axis so the per-node runs share the grid
+machinery (and the barrier stencil, which is z-independent) while staying
+exactly the independent deterministic solves.  Collocation is a nodal solve
+at the nodes of `gauss_rule(m)` followed by `metrics.moments_from_samples`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +20,14 @@ from .convection import (
     step_second_order_nodal,
 )
 from .errors import reject
-from .gpc import QuadratureRule, gauss_rule
 from .liouville import PhaseSpaceGrid, PotentialBarrier, liouville_solve_nodal
 from .march import march, time_steps
-from .metrics import MomentField, moments_from_samples
 
 __all__ = [
-    "CollocationRun",
     "convection_solve_nodal",
-    "deterministic_convection",
-    "collocation_convection",
     "deterministic_liouville",
-    "collocation_liouville",
     "barrier_step_characteristics",
 ]
-
-
-@dataclass(frozen=True)
-class CollocationRun:
-    """Per-node deterministic solutions plus quadrature moments."""
-
-    rule: QuadratureRule
-    fields: np.ndarray
-    moments: MomentField
-    diagnostics: dict
 
 
 def convection_solve_nodal(
@@ -76,37 +59,6 @@ def convection_solve_nodal(
     )
 
 
-def deterministic_convection(
-    coef: InterfaceCoefficient,
-    grid: ConvectionGrid,
-    z: float,
-    t_final: float,
-    order: int = 1,
-    profile: str = "cos_bump",
-    kind: str = "arctan",
-) -> np.ndarray:
-    """Deterministic solve with the wave speed frozen at one z."""
-    u, _ = convection_solve_nodal(coef, grid, [z], t_final, order, profile, kind)
-    return u[:, 0]
-
-
-def collocation_convection(
-    coef: InterfaceCoefficient,
-    grid: ConvectionGrid,
-    m: int,
-    t_final: float,
-    order: int = 1,
-    profile: str = "cos_bump",
-    kind: str = "arctan",
-) -> CollocationRun:
-    """Collocation on the m-node Gauss-Legendre sample set."""
-    rule = gauss_rule(m)
-    fields, diagnostics = convection_solve_nodal(
-        coef, grid, rule.nodes, t_final, order, profile, kind
-    )
-    return CollocationRun(rule, fields, moments_from_samples(fields, rule), diagnostics)
-
-
 def deterministic_liouville(
     grid: PhaseSpaceGrid,
     barrier: PotentialBarrier,
@@ -125,28 +77,6 @@ def deterministic_liouville(
         vflux_variant,
     )
     return run.field[:, :, 0], run.diagnostics
-
-
-def collocation_liouville(
-    grid: PhaseSpaceGrid,
-    barrier: PotentialBarrier,
-    m: int,
-    t_final: float,
-    order: int = 1,
-    integrator: str = "euler",
-    alpha: float | None = None,
-    profile: str = "quarter_disks",
-    kind: str = "arctan",
-    vflux_variant: str = "product",
-) -> CollocationRun:
-    """Collocation for the phase-space problem on m Gauss-Legendre samples."""
-    rule = gauss_rule(m)
-    run = liouville_solve_nodal(
-        grid, barrier, rule.nodes, t_final, order, integrator, alpha, profile, kind,
-        vflux_variant,
-    )
-    moments = moments_from_samples(run.field, rule)
-    return CollocationRun(rule, run.field, moments, run.diagnostics)
 
 
 def barrier_step_characteristics(

@@ -30,17 +30,11 @@ from .config import (
     reads,
     render_config,
 )
-from .convection import PROFILES, AnalyticConvectionSolution, run_convection
+from .convection import convection_errors, run_convection
 from .errors import ConfigurationError, DivergenceError
-from .gpc import OrthonormalBasis, QuadratureRule, gauss_rule
+from .gpc import QuadratureRule, gauss_rule
 from .liouville import liouville_solve_gpc, liouville_solve_nodal
-from .metrics import (
-    MomentField,
-    error_quadrature_size,
-    l1_norm,
-    moments_from_samples,
-    nodal_h_norm,
-)
+from .metrics import MomentField, moments_from_samples
 from .sweeps import gpc_error_sweep, mesh_error_sweep
 
 __all__ = ["main"]
@@ -138,9 +132,7 @@ def _problem(config: ExperimentConfig) -> _Problem:
         scheme = _convection_options(config)
 
         def chaos(k, quad_count=None):
-            run = run_convection(
-                coef, grid, k, t_final, quad_count=quad_count, compare_analytic=False, **scheme
-            )
+            run = run_convection(coef, grid, k, t_final, quad_count=quad_count, **scheme)
             return run.coeffs, run.moments, run.diagnostics
 
         return _Problem(
@@ -149,7 +141,10 @@ def _problem(config: ExperimentConfig) -> _Problem:
             grid.dx,
             chaos,
             lambda z_nodes: convection_solve_nodal(coef, grid, z_nodes, t_final, **scheme),
-            lambda *run: _convection_errors(config, coef, grid, *run),
+            lambda moments, values, rule: convection_errors(
+                coef, grid, config.profile, t_final, moments, values, rule,
+                config.mode == "deterministic",
+            ),
         )
 
     grid, barrier = liouville_parts(config)
@@ -178,34 +173,6 @@ def _problem(config: ExperimentConfig) -> _Problem:
         nodal,
         None,
     )
-
-
-def _convection_errors(config, coef, grid, moments: MomentField, values, rule) -> dict:
-    """l1 errors of the moments and the mixed distance against the exact solution.
-
-    `values` are the samples of a nodal run at `rule`; the coefficients of a
-    chaos run are sampled at the error rule instead.  A deterministic run
-    compares with the exact solution at its one z, the others with the exact
-    moments over z.
-    """
-    exact = AnalyticConvectionSolution(coef, PROFILES[config.profile])
-    x, t_final = grid.centers, config.t_final
-    if config.mode == "gpc_sg":
-        rule = gauss_rule(error_quadrature_size(config.k))
-        values = values @ OrthonormalBasis(config.k).values(rule.nodes)
-    exact_nodal = exact.value(x[:, None], t_final, rule.nodes[None, :])
-    if config.mode == "deterministic":
-        exact_moments = moments_from_samples(exact_nodal, rule)
-    else:
-        exact_moments = exact.moments(x, t_final)
-    l1_e = l1_norm(moments.expectation - exact_moments.expectation, grid.dx)
-    l1_v = l1_norm(moments.variance - exact_moments.variance, grid.dx)
-    return {
-        "l1_expectation": l1_e,
-        "l1_variance": l1_v,
-        "l1_total": l1_e + l1_v,
-        "h_distance": nodal_h_norm(values - exact_nodal, grid.dx, rule),
-    }
 
 
 def _run(config: ExperimentConfig, out: Path) -> dict:

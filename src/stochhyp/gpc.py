@@ -24,7 +24,6 @@ __all__ = [
     "galerkin_matrix",
     "project",
     "deterministic_coeffs",
-    "evaluate",
 ]
 
 
@@ -175,13 +174,3 @@ def deterministic_coeffs(values: np.ndarray, k: int) -> np.ndarray:
     field = np.zeros(np.shape(values) + (k + 1,))
     field[..., 0] = values
     return field
-
-
-def evaluate(coeffs: np.ndarray, basis: OrthonormalBasis, z: float | np.ndarray) -> float | np.ndarray:
-    """Expansion value sum_k coeffs[k] P_k(z); z may be scalar or array."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-1] != basis.size:
-        raise ValueError("coefficient count does not match the basis")
-    table = basis.values(np.atleast_1d(z))
-    vals = coeffs @ table
-    return float(vals[0]) if np.isscalar(z) and vals.ndim == 1 else vals

@@ -76,13 +76,15 @@ def limited_slopes(u: np.ndarray, dx: float, interface_index: int, kind: str) ->
 
     Cells `interface_index` and `interface_index + 1` sit on either side of
     the jump and take the one-sided difference that does not cross it; the
-    boundary cells are flat.
+    boundary cells are flat.  Unlike `bap_slope`, this does not scan for
+    non-finite values: the march scans every state its step returns.
     """
+    forward, inverse = limiter_maps(kind)
     s_l = np.zeros_like(u)
     s_r = np.zeros_like(u)
     s_l[1:] = (u[1:] - u[:-1]) / dx
     s_r[:-1] = s_l[1:]
-    slopes = bap_slope(s_l, s_r, kind=kind)
+    slopes = inverse(0.5 * (forward(s_l) + forward(s_r)))
     i = interface_index
     slopes[i] = s_l[i]
     slopes[i + 1] = s_r[i + 1]

@@ -116,6 +116,10 @@ class PotentialBarrier:
     v_right: float = 0.0
     slope_amp: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.v_left, self.v_right, self.slope_amp])):
+            raise ConfigurationError(["v_left, v_right and slope_amp must be finite"])
+
     def value(self, x, z):
         x = np.asarray(x, dtype=float)
         base = np.where(x < 0.0, self.v_left, self.v_right)
@@ -426,10 +430,10 @@ def scheme_problems(
         problems.append(("profile", "unknown initial profile %r" % (profile,)))
     if vflux_variant not in VFLUX_VARIANTS:
         problems.append(("vflux", "vflux must be one of %s" % (VFLUX_VARIANTS,)))
-    if np.any(np.abs(z_nodes) > 1.0):
+    if not np.all(np.abs(z_nodes) <= 1.0):
         problems.append(("z", "samples must lie in [-1, 1]"))
     if grid is not None:
-        if alpha < barrier.max_force:
+        if not alpha >= barrier.max_force:
             problems.append(("alpha", "LF viscosity alpha must be >= the largest |DV|"))
         problems += _cfl_problems(grid, alpha)
     return problems

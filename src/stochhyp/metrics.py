@@ -1,4 +1,4 @@
-"""Norms, moment fields, and error reports."""
+"""Norms and moment fields."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from .gpc import OrthonormalBasis, QuadratureRule, gauss_rule
 
 __all__ = [
     "MomentField",
-    "ErrorReport",
     "l1_norm",
     "h_norm",
     "nodal_h_norm",
     "moments_from_samples",
-    "make_error_report",
     "error_quadrature_size",
 ]
 
@@ -88,48 +86,3 @@ def moments_from_samples(samples: np.ndarray, rule: QuadratureRule) -> MomentFie
     mean = samples @ rule.weights
     second = (samples * samples) @ rule.weights
     return MomentField(mean, second - mean * mean)
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """l1-type errors against a reference solution plus run metadata."""
-
-    l1_expectation: float
-    l1_variance: float
-    h_norm: float
-    k: int
-    dx: float
-    dt: float
-    t_final: float
-    order: int
-
-    @property
-    def l1(self) -> float:
-        """Total l1 error: expectation plus variance contributions."""
-        return self.l1_expectation + self.l1_variance
-
-
-def make_error_report(
-    field: np.ndarray,
-    exact_at_nodes,
-    exact_moments: MomentField,
-    cell_measure: float,
-    dt: float,
-    t_final: float,
-    order: int,
-) -> ErrorReport:
-    """Assemble the error report for a 1D coefficient field.
-
-    `exact_at_nodes` maps an array of z nodes to exact values shaped
-    (cells, nodes); the H-norm of the difference is formed by quadrature.
-    """
-    field = np.asarray(field, dtype=float)
-    k = field.shape[-1] - 1
-    rule = gauss_rule(error_quadrature_size(k))
-    basis = OrthonormalBasis(k)
-    nodal = field @ basis.values(rule.nodes)
-    h_err = nodal_h_norm(nodal - exact_at_nodes(rule.nodes), cell_measure, rule)
-    num = MomentField.from_coeffs(field)
-    e_err = l1_norm(num.expectation - exact_moments.expectation, cell_measure)
-    v_err = l1_norm(num.variance - exact_moments.variance, cell_measure)
-    return ErrorReport(e_err, v_err, h_err, k, cell_measure, dt, t_final, order)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convection import ConvectionGrid, InterfaceCoefficient, run_convection
+from .convection import ConvectionGrid, InterfaceCoefficient, convection_errors, run_convection
 from .errors import reject
 from .gpc import gauss_rule
 from .metrics import MomentField, error_quadrature_size, h_norm, l1_norm
@@ -134,17 +134,8 @@ def mesh_error_sweep(
 
     def one(dx: float) -> MeshSweepRow:
         grid = ConvectionGrid.from_spacing(a, b, dx, dt_ratio * dx)
-        run = run_convection(
-            coef, grid, k, t_final, order=order, profile=profile, kind=kind
-        )
-        report = run.report
-        return MeshSweepRow(
-            dx=grid.dx,
-            dt=grid.dt,
-            l1_expectation=report.l1_expectation,
-            l1_variance=report.l1_variance,
-            l1_total=report.l1,
-            h_distance=report.h_norm,
-        )
+        run = run_convection(coef, grid, k, t_final, order=order, profile=profile, kind=kind)
+        errors = convection_errors(coef, grid, profile, t_final, run.moments, run.coeffs)
+        return MeshSweepRow(grid.dx, grid.dt, **errors)
 
     return _map_ordered(one, dx_list, threads)

@@ -14,7 +14,7 @@ from stochhyp import (
     PhaseSpaceGrid,
     PotentialBarrier,
     bap_slope,
-    collocation_liouville,
+    convection_errors,
     convection_solve_nodal,
     deterministic_liouville,
     galerkin_matrix,
@@ -23,6 +23,7 @@ from stochhyp import (
     l1_norm,
     liouville_solve_gpc,
     liouville_solve_nodal,
+    moments_from_samples,
     run_convection,
 )
 from stochhyp.limiters import BAP_KINDS
@@ -34,6 +35,11 @@ BARRIER = PotentialBarrier(0.2, 0.0, 0.1)
 def verdict(num, ok, detail):
     print("criterion %d: %s (%s)" % (num, "PASS" if ok else "FAIL", detail))
     assert ok, detail
+
+
+def l1_total(coef, grid, run, profile="cos_bump"):
+    """Total l1 moment error of a t_final = 1 chaos run against the exact solution."""
+    return convection_errors(coef, grid, profile, 1.0, run.moments, run.coeffs)["l1_total"]
 
 
 @pytest.fixture(scope="module")
@@ -58,20 +64,18 @@ def phase_grid():
 
 
 def test_criterion_01_low_order_reaches_the_mesh_floor(
-    interface_run_k4, interface_run_k20
+    reference_grid, interface_run_k4, interface_run_k20
 ):
     # chaos truncation at K=4 already sits at the mesh error of the scheme
-    e4 = interface_run_k4.report.l1
-    e20 = interface_run_k20.report.l1
+    e4 = l1_total(COEF, reference_grid, interface_run_k4)
+    e20 = l1_total(COEF, reference_grid, interface_run_k20)
     ratio = e4 / e20
     verdict(1, abs(ratio - 1.0) <= 0.1, "e(4)/e(20) = %.4f" % ratio)
 
 
 def test_criterion_02_spectral_decay_of_chaos_truncation(reference_grid):
     def solve(k):
-        return run_convection(
-            COEF, reference_grid, k, 1.0, compare_analytic=False
-        ).coeffs
+        return run_convection(COEF, reference_grid, k, 1.0).coeffs
 
     rows = gpc_error_sweep(solve, range(2, 21, 2), 30, reference_grid.dx)
     err = {row.k: row.h_distance for row in rows}
@@ -98,14 +102,15 @@ def test_criterion_03_half_order_at_the_interface_first_order_smooth():
     errs = []
     for dx in (0.01, 0.005):
         grid = ConvectionGrid.from_spacing(-2.0, 6.0, dx, dx / 5.0)
-        errs.append(run_convection(COEF, grid, 8, 1.0).report.l1)
+        errs.append(l1_total(COEF, grid, run_convection(COEF, grid, 8, 1.0)))
     interface_ratio = errs[0] / errs[1]
 
     smooth = InterfaceCoefficient(1.0, 1.0, 0.0)
     errs = []
     for dx in (0.01, 0.005):
         grid = ConvectionGrid.from_spacing(-2.0, 6.0, dx, dx / 5.0)
-        errs.append(run_convection(smooth, grid, 0, 1.0, profile="gaussian").report.l1)
+        run = run_convection(smooth, grid, 0, 1.0, profile="gaussian")
+        errs.append(l1_total(smooth, grid, run, "gaussian"))
     smooth_ratio = errs[0] / errs[1]
 
     ok = 1.3 <= interface_ratio <= 2.1 and 1.8 <= smooth_ratio <= 2.2
@@ -168,10 +173,12 @@ def test_criterion_07_deterministic_maximum_principle(phase_grid):
 
 def test_criterion_08_galerkin_matches_collocation(phase_grid):
     gpc = liouville_solve_gpc(phase_grid, BARRIER, 10, 1.0)
-    col = collocation_liouville(phase_grid, BARRIER, 20, 1.0)
+    rule = gauss_rule(20)
+    col = liouville_solve_nodal(phase_grid, BARRIER, rule.nodes, 1.0)
+    col_moments = moments_from_samples(col.field, rule)
     cell = phase_grid.dx * phase_grid.dv
-    dev = l1_norm(gpc.moments.expectation - col.moments.expectation, cell)
-    rel = dev / l1_norm(col.moments.expectation, cell)
+    dev = l1_norm(gpc.moments.expectation - col_moments.expectation, cell)
+    rel = dev / l1_norm(col_moments.expectation, cell)
     verdict(8, rel <= 0.05, "relative expectation difference %.3g" % rel)
 
 
@@ -195,7 +202,7 @@ def test_criterion_09_limiter_mean_properties():
 
 def test_criterion_10_reduction_identities(phase_grid):
     grid = ConvectionGrid.from_spacing(-2.0, 6.0, 0.01, 0.002)
-    run = run_convection(COEF, grid, 0, 1.0, quad_count=1, compare_analytic=False)
+    run = run_convection(COEF, grid, 0, 1.0, quad_count=1)
     det, _ = convection_solve_nodal(COEF, grid, [0.0], 1.0)
     conv_ok = np.array_equal(run.coeffs[:, 0], det[:, 0])
 
@@ -204,7 +211,7 @@ def test_criterion_10_reduction_identities(phase_grid):
     liou_ok = np.array_equal(gpc.field[:, :, 0], detl)
 
     frozen = InterfaceCoefficient(1.0, 2.0, 0.0)
-    froz_run = run_convection(frozen, grid, 0, 1.0, quad_count=1, compare_analytic=False)
+    froz_run = run_convection(frozen, grid, 0, 1.0, quad_count=1)
     froz_det, _ = convection_solve_nodal(frozen, grid, [0.3], 1.0)
     sigma_ok = np.array_equal(froz_run.coeffs[:, 0], froz_det[:, 0])
 

@@ -1,4 +1,4 @@
-"""Collocation baselines and the exact step-potential characteristic solution."""
+"""Nodal baselines, collocation, and the exact step-potential characteristic solution."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,13 @@ from stochhyp import (
     PhaseSpaceGrid,
     PotentialBarrier,
     barrier_step_characteristics,
-    collocation_convection,
-    collocation_liouville,
     convection_solve_nodal,
-    deterministic_convection,
     deterministic_liouville,
+    gauss_rule,
     l1_norm,
     liouville_solve_gpc,
+    liouville_solve_nodal,
+    moments_from_samples,
     run_convection,
 )
 from stochhyp.liouville import PHASE_PROFILES
@@ -31,38 +31,43 @@ def convection_grid():
     return ConvectionGrid.from_spacing(-2.0, 6.0, 0.05, 0.01)
 
 
+def convection_collocation(m):
+    """Nodal solve at the m Gauss nodes: fields, quadrature moments, diagnostics."""
+    rule = gauss_rule(m)
+    fields, diagnostics = convection_solve_nodal(COEF, convection_grid(), rule.nodes, 0.5)
+    return fields, moments_from_samples(fields, rule), diagnostics
+
+
 # --- collocation ---
 
 
 def test_single_node_collocation_is_the_deterministic_run():
-    grid = convection_grid()
-    run = collocation_convection(COEF, grid, 1, 0.5)
-    det = deterministic_convection(COEF, grid, 0.0, 0.5)
-    np.testing.assert_array_equal(run.fields[:, 0], det)
-    np.testing.assert_array_equal(run.moments.expectation, det)
-    np.testing.assert_array_equal(run.moments.variance, 0.0)
+    fields, moments, _ = convection_collocation(1)
+    det = convection_solve_nodal(COEF, convection_grid(), [0.0], 0.5)[0][:, 0]
+    np.testing.assert_array_equal(fields[:, 0], det)
+    np.testing.assert_array_equal(moments.expectation, det)
+    np.testing.assert_array_equal(moments.variance, 0.0)
 
 
 def test_collocation_variance_is_nonnegative():
-    run = collocation_convection(COEF, convection_grid(), 6, 0.5)
-    assert run.moments.variance.min() >= -1e-12
+    _, moments, _ = convection_collocation(6)
+    assert moments.variance.min() >= -1e-12
 
 
 def test_collocation_moments_saturate_in_node_count():
     # the nodal solutions depend smoothly on z here, so quadrature converges
     # fast: doubling past m = 8 moves the expectation below rounding scale
-    grid = convection_grid()
-    run8 = collocation_convection(COEF, grid, 8, 0.5)
-    run16 = collocation_convection(COEF, grid, 16, 0.5)
-    dev = np.max(np.abs(run8.moments.expectation - run16.moments.expectation))
+    _, moments8, _ = convection_collocation(8)
+    _, moments16, _ = convection_collocation(16)
+    dev = np.max(np.abs(moments8.expectation - moments16.expectation))
     assert dev < 1e-10
 
 
 def test_single_node_liouville_collocation_matches_deterministic():
     grid = PhaseSpaceGrid(-2.0, 2.0, 2.0, 100, 100, 0.002)
-    run = collocation_liouville(grid, STEP, 1, 0.1)
+    run = liouville_solve_nodal(grid, STEP, gauss_rule(1).nodes, 0.1)
     det, _ = deterministic_liouville(grid, STEP, 0.0, 0.1)
-    np.testing.assert_array_equal(run.fields[:, :, 0], det)
+    np.testing.assert_array_equal(run.field[:, :, 0], det)
 
 
 def test_nodal_solver_validation():
@@ -100,7 +105,7 @@ def small_phase_grid():
     "solve, tag",
     [
         (lambda: run_convection(NAN_COEF, convection_grid(), 2, 0.5), "mode"),
-        (lambda: deterministic_convection(NAN_COEF, convection_grid(), 0.0, 0.5), "node"),
+        (lambda: convection_solve_nodal(NAN_COEF, convection_grid(), [0.0], 0.5), "node"),
         (
             lambda: liouville_solve_gpc(
                 small_phase_grid(), STEP, 2, 0.1, profile=poisoned_disks
@@ -113,8 +118,28 @@ def small_phase_grid():
             ),
             "node",
         ),
+        # the order-2 limiter leaves the scan to the march as well
+        (
+            lambda: liouville_solve_gpc(
+                small_phase_grid(), STEP, 2, 0.1, order=2, profile=poisoned_disks
+            ),
+            "mode",
+        ),
+        (
+            lambda: deterministic_liouville(
+                small_phase_grid(), STEP, 0.0, 0.1, order=2, profile=poisoned_disks
+            ),
+            "node",
+        ),
     ],
-    ids=["convection_gpc", "convection_nodal", "liouville_gpc", "liouville_nodal"],
+    ids=[
+        "convection_gpc",
+        "convection_nodal",
+        "liouville_gpc",
+        "liouville_nodal",
+        "liouville_gpc_order2",
+        "liouville_nodal_order2",
+    ],
 )
 def test_divergence_error_reports_step_and_cell(solve, tag):
     with pytest.raises(DivergenceError) as err:
@@ -125,8 +150,7 @@ def test_divergence_error_reports_step_and_cell(solve, tag):
 
 
 def test_nodal_diagnostics_track_mass_per_node():
-    run = collocation_convection(COEF, convection_grid(), 3, 0.5)
-    diag = run.diagnostics
+    _, _, diag = convection_collocation(3)
     assert diag["steps"] == 50
     assert diag["mass_initial"].shape == (3,)
     assert np.max(diag["mass_drift_rel_max"]) < 1e-13

@@ -8,19 +8,21 @@ from stochhyp import (
     AnalyticConvectionSolution,
     ConvectionGrid,
     InterfaceCoefficient,
+    OrthonormalBasis,
     PhaseSpaceGrid,
     PotentialBarrier,
-    collocation_convection,
-    collocation_liouville,
-    deterministic_convection,
+    convection_solve_nodal,
     deterministic_liouville,
+    gauss_rule,
     l1_norm,
     liouville_solve_gpc,
+    liouville_solve_nodal,
+    moments_from_samples,
     run_convection,
 )
 from stochhyp.cli import main
 from stochhyp.config import PRESETS, parse_config
-from stochhyp.metrics import nodal_h_norm
+from stochhyp.metrics import error_quadrature_size, nodal_h_norm
 
 CONV_SMALL = """\
 problem = convection
@@ -209,6 +211,12 @@ NON_FINITE = {
     "v_hi_nan": LIOU_SMALL.replace("v_hi = 1.0", "v_hi = nan"),
     "a_minus_inf": CONV_SMALL.replace("a = -1.0", "a = -inf"),
     "x_lo_minus_inf": LIOU_SMALL.replace("x_lo = -1.0", "x_lo = -inf"),
+    "v_left_nan": LIOU_SMALL + "\n[random]\nv_left = nan\n",
+    "v_right_inf": LIOU_SMALL + "\n[random]\nv_right = inf\n",
+    "alpha_nan": LIOU_SMALL + "\n[random]\nalpha = nan\n",
+    "slope_amp_nan": LIOU_SMALL + "\n[random]\nslope_amp = nan\n",
+    "z_nan": LIOU_SMALL + "\n[random]\nz = nan\n",
+    "c_minus_nan": CONV_SMALL + "c_minus = nan\n",
 }
 
 
@@ -234,6 +242,18 @@ def _pair_text(problem, mode):
     )
 
 
+def _moment_errors(coef, grid, moments, samples, rule):
+    """errors.csv columns of a gpc_sg or collocation run: l1 against the exact
+    moments, mixed distance of the samples at `rule` to the exact values."""
+    exact = AnalyticConvectionSolution(coef, PROFILES["cos_bump"])
+    x = grid.centers
+    exact_moments = exact.moments(x, 0.1)
+    l1_e = l1_norm(moments.expectation - exact_moments.expectation, grid.dx)
+    l1_v = l1_norm(moments.variance - exact_moments.variance, grid.dx)
+    exact_nodal = exact.value(x[:, None], 0.1, rule.nodes[None, :])
+    return [l1_e, l1_v, l1_e + l1_v, nodal_h_norm(samples - exact_nodal, grid.dx, rule)]
+
+
 def _convection_reference(mode):
     """Values, moments and errors from the library solvers, as the run before this CLI."""
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
@@ -241,22 +261,19 @@ def _convection_reference(mode):
     options = dict(order=2, kind="tanh")
     if mode == "gpc_sg":
         run = run_convection(coef, grid, 2, 0.1, **options)
-        report = run.report
-        errors = [report.l1_expectation, report.l1_variance, report.l1, report.h_norm]
+        rule = gauss_rule(error_quadrature_size(2))
+        samples = run.coeffs @ OrthonormalBasis(2).values(rule.nodes)
+        errors = _moment_errors(coef, grid, run.moments, samples, rule)
         return run.coeffs, run.moments.expectation, run.moments.variance, errors
-    x = grid.centers
-    exact = AnalyticConvectionSolution(coef, PROFILES["cos_bump"])
     if mode == "collocation":
-        run = collocation_convection(coef, grid, 3, 0.1, **options)
-        exact_moments = exact.moments(x, 0.1)
-        l1_e = l1_norm(run.moments.expectation - exact_moments.expectation, grid.dx)
-        l1_v = l1_norm(run.moments.variance - exact_moments.variance, grid.dx)
-        exact_nodal = exact.value(x[:, None], 0.1, run.rule.nodes[None, :])
-        h = nodal_h_norm(run.fields - exact_nodal, grid.dx, run.rule)
-        errors = [l1_e, l1_v, l1_e + l1_v, h]
-        return run.fields, run.moments.expectation, run.moments.variance, errors
-    values = deterministic_convection(coef, grid, 0.3, 0.1, **options)
-    l1_e = l1_norm(values - exact.value(x, 0.1, 0.3), grid.dx)
+        rule = gauss_rule(3)
+        fields, _ = convection_solve_nodal(coef, grid, rule.nodes, 0.1, **options)
+        moments = moments_from_samples(fields, rule)
+        errors = _moment_errors(coef, grid, moments, fields, rule)
+        return fields, moments.expectation, moments.variance, errors
+    values = convection_solve_nodal(coef, grid, [0.3], 0.1, **options)[0][:, 0]
+    exact = AnalyticConvectionSolution(coef, PROFILES["cos_bump"])
+    l1_e = l1_norm(values - exact.value(grid.centers, 0.1, 0.3), grid.dx)
     return values, values, np.zeros_like(values), [l1_e, 0.0, l1_e, l1_e]
 
 
@@ -267,8 +284,10 @@ def _liouville_reference(mode):
         run = liouville_solve_gpc(grid, barrier, 2, 0.05, alpha=0.2)
         return run.field, run.moments.expectation, run.moments.variance, None
     if mode == "collocation":
-        run = collocation_liouville(grid, barrier, 3, 0.05, alpha=0.2)
-        return run.fields, run.moments.expectation, run.moments.variance, None
+        rule = gauss_rule(3)
+        run = liouville_solve_nodal(grid, barrier, rule.nodes, 0.05, alpha=0.2)
+        moments = moments_from_samples(run.field, rule)
+        return run.field, moments.expectation, moments.variance, None
     values, _ = deterministic_liouville(grid, barrier, 0.3, 0.05, alpha=0.2)
     return values, values, np.zeros_like(values), None
 

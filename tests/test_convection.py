@@ -11,6 +11,7 @@ from stochhyp import (
     OrthonormalBasis,
     PROFILES,
     build_lambda_matrices,
+    convection_errors,
     gauss_rule,
     run_convection,
 )
@@ -28,6 +29,11 @@ COS = PROFILES["cos_bump"]
 
 def small_grid(dx=0.05, dt=0.01, a=-1.0, b=1.0):
     return ConvectionGrid.from_spacing(a, b, dx, dt)
+
+
+def errors(coef, grid, run, t_final, profile="cos_bump"):
+    """errors.csv columns of a chaos run against the exact solution."""
+    return convection_errors(coef, grid, profile, t_final, run.moments, run.coeffs)
 
 
 # --- coefficient and grid validation ---
@@ -329,7 +335,7 @@ def test_run_at_time_zero_reports_projection_only():
     # deterministic initial data lives in mode 0 alone
     np.testing.assert_array_equal(run.coeffs[:, 1:], 0.0)
     np.testing.assert_allclose(run.coeffs[:, 0], COS.func(grid.centers), atol=1e-14)
-    assert run.report.l1 == pytest.approx(0.0, abs=1e-12)
+    assert errors(coef, grid, run, 0.0)["l1_total"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_run_conserves_mass_while_support_is_interior():
@@ -347,14 +353,16 @@ def test_run_moments_follow_the_exact_solution():
     exact = sol.moments(grid.centers, 1.0)
     err = np.sum(np.abs(run.moments.expectation - exact.expectation)) * grid.dx
     assert err < 0.15
-    assert run.report.l1_expectation == pytest.approx(err, rel=1e-12)
+    assert errors(coef, grid, run, 1.0)["l1_expectation"] == pytest.approx(err, rel=1e-12)
 
 
 def test_run_second_order_beats_first_order_on_smooth_data():
     coef = InterfaceCoefficient(1.0, 1.0, 0.0)
     grid = ConvectionGrid.from_spacing(-2.0, 6.0, 0.02, 0.004)
-    e1 = run_convection(coef, grid, 0, 1.0, order=1, profile="gaussian").report.l1
-    e2 = run_convection(coef, grid, 0, 1.0, order=2, profile="gaussian").report.l1
+    run1 = run_convection(coef, grid, 0, 1.0, order=1, profile="gaussian")
+    run2 = run_convection(coef, grid, 0, 1.0, order=2, profile="gaussian")
+    e1 = errors(coef, grid, run1, 1.0, "gaussian")["l1_total"]
+    e2 = errors(coef, grid, run2, 1.0, "gaussian")["l1_total"]
     assert e2 < 0.5 * e1
 
 
@@ -363,7 +371,7 @@ def test_run_second_order_interface_stays_conservative():
     # the grid speed dx/dt, so the domain must be wide enough to hold them
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = ConvectionGrid.from_spacing(-4.0, 10.0, 0.02, 0.004)
-    run = run_convection(coef, grid, 4, 1.0, order=2, compare_analytic=False)
+    run = run_convection(coef, grid, 4, 1.0, order=2)
     assert np.all(np.isfinite(run.coeffs))
     assert run.diagnostics["mass_drift_rel_max"] < 1e-12
 
@@ -374,7 +382,7 @@ def test_capped_map_keeps_steep_interface_run_accurate():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = ConvectionGrid.from_spacing(-2.0, 6.0, 0.005, 0.001)
     run = run_convection(coef, grid, 4, 1.0, order=2, kind="tanh")
-    assert run.report.l1 < 0.2
+    assert errors(coef, grid, run, 1.0)["l1_total"] < 0.2
 
 
 def test_run_rejects_bad_configs():
@@ -406,6 +414,6 @@ def test_deterministic_reduction_is_bitwise():
 
     coef = InterfaceCoefficient(1.0, 2.0, 0.0)
     grid = ConvectionGrid.from_spacing(-2.0, 6.0, 0.05, 0.01)
-    run = run_convection(coef, grid, 0, 0.5, quad_count=1, compare_analytic=False)
+    run = run_convection(coef, grid, 0, 0.5, quad_count=1)
     nodal, _ = convection_solve_nodal(coef, grid, np.array([0.0]), 0.5)
     np.testing.assert_array_equal(run.coeffs[:, 0], nodal[:, 0])

@@ -1,10 +1,20 @@
-"""Norms, moment fields, and error reports."""
+"""Norms, moment fields, and errors against the exact convection solution."""
 
 import numpy as np
 import pytest
 
-from stochhyp import MomentField, gauss_rule, h_norm, l1_norm, moments_from_samples
-from stochhyp.metrics import ErrorReport, error_quadrature_size, make_error_report
+from stochhyp import (
+    ConvectionGrid,
+    InterfaceCoefficient,
+    MomentField,
+    convection_errors,
+    gauss_rule,
+    h_norm,
+    l1_norm,
+    moments_from_samples,
+    run_convection,
+)
+from stochhyp.metrics import error_quadrature_size
 
 
 # --- cell-weighted l1 norm ---
@@ -122,13 +132,13 @@ def test_moments_from_samples_linear_in_z():
 
 
 def test_moments_from_samples_matches_coefficient_path():
-    from stochhyp import OrthonormalBasis, evaluate
+    from stochhyp import OrthonormalBasis
 
     basis = OrthonormalBasis(4)
     rule = gauss_rule(10)
     rng = np.random.default_rng(12)
     coeffs = rng.standard_normal((6, 5))
-    sampled = moments_from_samples(evaluate(coeffs, basis, rule.nodes), rule)
+    sampled = moments_from_samples(coeffs @ basis.values(rule.nodes), rule)
     direct = MomentField.from_coeffs(coeffs)
     np.testing.assert_allclose(sampled.expectation, direct.expectation, atol=1e-13)
     np.testing.assert_allclose(sampled.variance, direct.variance, atol=1e-12)
@@ -142,34 +152,18 @@ def test_sample_variance_floor():
     assert np.all(mf.variance >= -1e-12)
 
 
-# --- error reports ---
+# --- errors against the exact convection solution ---
 
 
-def test_report_total_is_sum_of_moment_errors():
-    report = ErrorReport(
-        l1_expectation=0.25,
-        l1_variance=0.5,
-        h_norm=0.7,
-        k=4,
-        dx=0.01,
-        dt=0.002,
-        t_final=1.0,
-        order=1,
-    )
-    assert report.l1 == 0.75
+def test_convection_errors_zero_for_exact_field():
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, 0.01)
+    # at t = 0 the k = 0 field is the exact profile, cell by cell and node by node
+    start = run_convection(coef, grid, 0, 0.0)
+    errors = convection_errors(coef, grid, "cos_bump", 0.0, start.moments, start.coeffs)
+    assert errors == dict.fromkeys(["l1_expectation", "l1_variance", "l1_total", "h_distance"], 0.0)
 
-
-def test_make_error_report_zero_for_exact_field():
-    from stochhyp import OrthonormalBasis, evaluate
-
-    basis = OrthonormalBasis(3)
-    rng = np.random.default_rng(16)
-    field = rng.standard_normal((10, 4))
-    exact_moments = MomentField.from_coeffs(field)
-    report = make_error_report(
-        field, lambda zs: evaluate(field, basis, zs), exact_moments, 0.1, 0.01, 1.0, 1
-    )
-    assert report.l1_expectation == 0.0
-    assert report.l1_variance == 0.0
-    assert report.h_norm == pytest.approx(0.0, abs=1e-13)
-    assert report.k == 3
+    run = run_convection(coef, grid, 2, 0.1)
+    errors = convection_errors(coef, grid, "cos_bump", 0.1, run.moments, run.coeffs)
+    assert errors["l1_variance"] > 0.0
+    assert errors["l1_total"] == errors["l1_expectation"] + errors["l1_variance"]
