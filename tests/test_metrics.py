@@ -155,7 +155,7 @@ def test_sample_variance_floor():
 # --- errors against the exact convection solution ---
 
 
-def test_convection_errors_zero_for_exact_field():
+def test_make_error_report_zero_for_exact_field():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, 0.01)
     # at t = 0 the k = 0 field is the exact profile, cell by cell and node by node
@@ -163,6 +163,10 @@ def test_convection_errors_zero_for_exact_field():
     errors = convection_errors(coef, grid, "cos_bump", 0.0, start.moments, start.coeffs)
     assert errors == dict.fromkeys(["l1_expectation", "l1_variance", "l1_total", "h_distance"], 0.0)
 
+
+def test_report_total_is_sum_of_moment_errors():
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, 0.01)
     run = run_convection(coef, grid, 2, 0.1)
     errors = convection_errors(coef, grid, "cos_bump", 0.1, run.moments, run.coeffs)
     assert errors["l1_variance"] > 0.0
