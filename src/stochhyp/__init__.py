@@ -7,11 +7,7 @@ barrier.  Nodal (collocation and deterministic) reference solvers, metrics,
 convergence sweeps, and a CLI harness round out the package.
 """
 
-from .baselines import (
-    barrier_step_characteristics,
-    convection_solve_nodal,
-    deterministic_liouville,
-)
+from .baselines import convection_solve_nodal, deterministic_liouville
 from .config import (
     MODES,
     PRESETS,
@@ -34,6 +30,7 @@ from .convection import (
 )
 from .errors import ConfigurationError, DivergenceError
 from .gpc import (
+    ChaosSpace,
     OrthonormalBasis,
     QuadratureRule,
     galerkin_matrix,

@@ -1,4 +1,4 @@
-"""Nodal reference solvers and the exact step-potential characteristics.
+"""Nodal reference solvers for collocation and deterministic runs.
 
 The nodal solvers march the deterministic scheme at fixed samples of z,
 batched over a trailing node axis so the per-node runs share the grid
@@ -23,11 +23,7 @@ from .errors import reject
 from .liouville import PhaseSpaceGrid, PotentialBarrier, liouville_solve_nodal
 from .march import march, time_steps
 
-__all__ = [
-    "convection_solve_nodal",
-    "deterministic_liouville",
-    "barrier_step_characteristics",
-]
+__all__ = ["convection_solve_nodal", "deterministic_liouville"]
 
 
 def convection_solve_nodal(
@@ -77,44 +73,3 @@ def deterministic_liouville(
         vflux_variant,
     )
     return run.field[:, :, 0], run.diagnostics
-
-
-def barrier_step_characteristics(
-    x,
-    v,
-    t: float,
-    profile,
-    v_left: float = 0.2,
-    v_right: float = 0.0,
-):
-    """Exact solution of the step-potential transport problem at z = 0.
-
-    Traces each (x, v) backwards through free streaming, transmission with
-    speed sqrt(v^2 -+ jump), or reflection at the barrier, then samples the
-    initial profile.  Requires the step to drop from left to right.
-    """
-    if v_left <= v_right:
-        raise ValueError("the potential step must drop from left to right")
-    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-    jump = 2.0 * (v_left - v_right)
-    ratio = np.divide(x, np.where(v == 0.0, 1.0, v))
-
-    x0 = x - v * t
-    v0 = v.astype(float, copy=True)
-
-    # ends right of the barrier moving right, having touched it
-    touched = (x > 0.0) & (v > 0.0) & (x < v * t)
-    transmitted = touched & (v * v > jump)
-    w = np.sqrt(np.maximum(v * v - jump, 0.0))
-    x0 = np.where(transmitted, -w * (t - ratio), x0)
-    v0 = np.where(transmitted, w, v0)
-    reflected = touched & ~(v * v > jump)
-    x0 = np.where(reflected, v * t - x, x0)
-    v0 = np.where(reflected, -v, v0)
-
-    # ends left of the barrier moving left: always transmitted from the right
-    crossed = (x < 0.0) & (v < 0.0) & (x > v * t)
-    w = np.sqrt(v * v + jump)
-    x0 = np.where(crossed, w * (t - ratio), x0)
-    v0 = np.where(crossed, -w, v0)
-    return profile(x0, v0)

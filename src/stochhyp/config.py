@@ -293,22 +293,22 @@ def _domain_checks(cfg: ExperimentConfig, where: dict[str, int]) -> list[str]:
         tagged += time_steps(cfg.t_final, cfg.dt)[1]
     if cfg.k is not None:
         tagged += chaos_problems(cfg.k, cfg.m)
+    # each object is built on its own, so one object's failure hides no other
+    # object's rules, and the CFL rule runs whenever its inputs exist
     if cfg.problem == "convection":
-        coef = grid = None
+        coef = _built(problems, InterfaceCoefficient, cfg.c_minus, cfg.c_plus, cfg.sigma)
+        grid = None
         if None not in (cfg.a, cfg.b, cfg.dx, cfg.dt):
-            try:
-                coef, grid = convection_parts(cfg)
-            except ConfigurationError as err:
-                problems.extend(err.violations)
+            grid = _built(problems, ConvectionGrid.from_spacing, cfg.a, cfg.b, cfg.dx, cfg.dt)
         tagged += convection.scheme_problems(cfg.order, cfg.profile, cfg.limiter, cfg.z, coef, grid)
     elif cfg.problem == "liouville":
-        grid = barrier = alpha = None
+        grid = None
         if None not in (cfg.x_lo, cfg.x_hi, cfg.v_hi, cfg.nx, cfg.nv, cfg.dt):
-            try:
-                grid, barrier = liouville_parts(cfg)
-                alpha = barrier.max_force if cfg.alpha is None else cfg.alpha
-            except ConfigurationError as err:
-                problems.extend(err.violations)
+            grid = _built(problems, PhaseSpaceGrid, cfg.x_lo, cfg.x_hi, cfg.v_hi, cfg.nx, cfg.nv, cfg.dt)
+        barrier = _built(problems, PotentialBarrier, cfg.v_left, cfg.v_right, cfg.slope_amp)
+        alpha = cfg.alpha
+        if alpha is None and barrier is not None:
+            alpha = barrier.max_force
         tagged += liouville.scheme_problems(
             cfg.order, cfg.integrator, cfg.profile, cfg.limiter, cfg.vflux, cfg.z,
             grid, barrier, alpha,
@@ -316,6 +316,15 @@ def _domain_checks(cfg: ExperimentConfig, where: dict[str, int]) -> list[str]:
     for field, message in tagged:
         bad(field, message)
     return problems
+
+
+def _built(problems: list[str], make, *args):
+    """make(*args), or None with its violations added to `problems`."""
+    try:
+        return make(*args)
+    except ConfigurationError as err:
+        problems.extend(err.violations)
+        return None
 
 
 def convection_parts(config: ExperimentConfig):

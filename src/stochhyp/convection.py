@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import ConfigurationError, reject
 from .gpc import (
-    OrthonormalBasis,
+    ChaosSpace,
     QuadratureRule,
     chaos_problems,
-    chaos_rule,
     deterministic_coeffs,
     galerkin_matrix,
     gauss_rule,
@@ -145,17 +144,12 @@ def check_cfl(coef: InterfaceCoefficient, grid: ConvectionGrid) -> None:
 
 
 def build_lambda_matrices(
-    coef: InterfaceCoefficient,
-    grid: ConvectionGrid,
-    basis: OrthonormalBasis,
-    rule: QuadratureRule | None = None,
+    coef: InterfaceCoefficient, grid: ConvectionGrid, space: ChaosSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin matrices of (dt/dx)*c(x, z) on each side of the jump."""
-    if rule is None:
-        rule = chaos_rule(basis.max_order)
     check_cfl(coef, grid)
-    lam_minus = grid.ratio * galerkin_matrix(coef.left, basis, rule)
-    lam_plus = grid.ratio * galerkin_matrix(coef.right, basis, rule)
+    lam_minus = grid.ratio * galerkin_matrix(coef.left, space)
+    lam_plus = grid.ratio * galerkin_matrix(coef.right, space)
     return lam_minus, lam_plus
 
 
@@ -216,27 +210,23 @@ def step_second_order_nodal(
 
 def step_second_order(
     field: np.ndarray,
-    coef: InterfaceCoefficient,
+    lam_minus: np.ndarray,
+    lam_plus: np.ndarray,
     grid: ConvectionGrid,
-    basis: OrthonormalBasis,
-    rule: QuadratureRule | None = None,
+    space: ChaosSpace,
     kind: str = "arctan",
 ) -> np.ndarray:
-    """Second-order coefficient step, realized through quadrature nodes.
+    """Second-order coefficient step, realized through the space's nodes.
 
+    lam_* are the per-node speeds (dt/dx)*c(x, z_q) on each side of the jump.
     The field is evaluated at the nodes, the nodal scheme (limiter included)
     is applied per node, and the result is projected back onto the basis.
     """
-    if rule is None:
-        rule = chaos_rule(basis.max_order)
-    table = basis.values(rule.nodes)
-    nodal = np.asarray(field, dtype=float) @ table
-    lam_m = grid.ratio * coef.left(rule.nodes)
-    lam_p = grid.ratio * coef.right(rule.nodes)
+    nodal = np.asarray(field, dtype=float) @ space.table
     stepped = step_second_order_nodal(
-        nodal, lam_m, lam_p, grid.dx, grid.interface_index, kind
+        nodal, lam_minus, lam_plus, grid.dx, grid.interface_index, kind
     )
-    return project(stepped, basis, rule)
+    return project(stepped, space)
 
 
 def _cos_bump(x):
@@ -265,7 +255,7 @@ PROFILES = {
 
 
 def scheme_problems(order, profile, kind, z_nodes=(), coef=None, grid=None) -> list:
-    """Problems with a convection solve's scheme settings; CFL when `grid` is given."""
+    """Problems with a convection solve's scheme settings; CFL when `coef` and `grid` are given."""
     problems = kind_problems(kind)
     if order not in (1, 2):
         problems.append(("order", "order must be 1 or 2"))
@@ -273,7 +263,7 @@ def scheme_problems(order, profile, kind, z_nodes=(), coef=None, grid=None) -> l
         problems.append(("profile", "unknown initial profile %r" % (profile,)))
     if not np.all(np.abs(z_nodes) <= 1.0):
         problems.append(("z", "samples must lie in [-1, 1]"))
-    if grid is not None:
+    if coef is not None and grid is not None:
         problems += _cfl_problems(coef, grid)
     return problems
 
@@ -373,15 +363,16 @@ def run_convection(
     problems += chaos_problems(k, quad_count)
     reject(problems + scheme_problems(order, profile, kind, coef=coef, grid=grid))
 
-    basis = OrthonormalBasis(k)
-    rule = chaos_rule(k, quad_count)
-    lam_minus, lam_plus = build_lambda_matrices(coef, grid, basis, rule)
+    space = ChaosSpace.build(k, quad_count)
     prof = PROFILES[profile]
 
     if order == 1:
+        lam_minus, lam_plus = build_lambda_matrices(coef, grid, space)
         step = lambda f: step_first_order(f, lam_minus, lam_plus, grid.interface_index)
     else:
-        step = lambda f: step_second_order(f, coef, grid, basis, rule, kind)
+        nodes = space.rule.nodes
+        lam_minus, lam_plus = grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
+        step = lambda f: step_second_order(f, lam_minus, lam_plus, grid, space, kind)
     mass = lambda f: float(np.sum(f[:, 0]) * grid.dx)
     field, diagnostics = march(
         deterministic_coeffs(prof.func(grid.centers), k), step, steps, mass, "cell %d, mode %d"
@@ -403,7 +394,7 @@ def convection_errors(
     """l1 errors of the moments and the mixed distance against the exact solution.
 
     `values` are the samples of a nodal run at `rule`; with no rule they are
-    chaos coefficients, sampled at the Gauss rule of `error_quadrature_size`.
+    chaos coefficients, sampled through a space of `error_quadrature_size` nodes.
     A deterministic run, one sample of weight one, is compared with the exact
     solution at its z; every other run with the exact moments over z.
     """
@@ -411,8 +402,9 @@ def convection_errors(
     x = grid.centers
     if rule is None:
         k = values.shape[-1] - 1
-        rule = gauss_rule(error_quadrature_size(k))
-        values = values @ OrthonormalBasis(k).values(rule.nodes)
+        space = ChaosSpace.build(k, error_quadrature_size(k))
+        rule = space.rule
+        values = values @ space.table
     exact_nodal = exact.value(x[:, None], t_final, rule.nodes[None, :])
     if deterministic:
         exact_moments = moments_from_samples(exact_nodal, rule)

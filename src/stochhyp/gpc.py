@@ -17,9 +17,9 @@ from .errors import reject
 __all__ = [
     "OrthonormalBasis",
     "QuadratureRule",
+    "ChaosSpace",
     "gauss_rule",
     "chaos_problems",
-    "chaos_rule",
     "legendre_table",
     "galerkin_matrix",
     "project",
@@ -135,38 +135,54 @@ def chaos_problems(k: int, quad_count: int | None = None) -> list[tuple[str, str
     return []
 
 
-def chaos_rule(k: int, quad_count: int | None = None) -> QuadratureRule:
-    """Gauss rule that projects chaos order k: quad_count nodes, by default 2k + 2."""
-    reject(chaos_problems(k, quad_count))
-    return gauss_rule(2 * k + 2 if quad_count is None else quad_count)
+@dataclass(frozen=True)
+class ChaosSpace:
+    """The chaos space of one solve: basis, projecting rule and table P_j(z_q).
+
+    `table` holds the basis at the rule's nodes, shape (max_order+1, count).
+    `ChaosSpace.build` checks the rule against the basis, so every function
+    that takes a space works on a rule of at least max_order + 1 nodes.
+    """
+
+    basis: OrthonormalBasis
+    rule: QuadratureRule
+    table: np.ndarray
+
+    @classmethod
+    def build(cls, k: int, quad_count: int | None = None) -> "ChaosSpace":
+        """Order-k space on a Gauss rule of quad_count nodes, by default 2k + 2."""
+        reject(chaos_problems(k, quad_count))
+        basis = OrthonormalBasis(k)
+        rule = gauss_rule(2 * k + 2 if quad_count is None else quad_count)
+        return cls(basis, rule, basis.values(rule.nodes))
+
+    @property
+    def count(self) -> int:
+        return self.rule.count
 
 
 def galerkin_matrix(
-    coef: Callable[[np.ndarray], np.ndarray | float],
-    basis: OrthonormalBasis,
-    rule: QuadratureRule,
+    coef: Callable[[np.ndarray], np.ndarray | float], space: ChaosSpace
 ) -> np.ndarray:
     """Matrix of <coef(z) P_k P_m> assembled by quadrature, shape (K+1, K+1).
 
-    The rule must carry at least max_order + 1 nodes; results are exact when
-    the rule integrates deg(coef) + 2 max_order exactly.  The output is
-    symmetrized so roundoff cannot break the analytic symmetry.
+    Results are exact when the space's rule integrates deg(coef) + 2 max_order
+    exactly.  The output is symmetrized so roundoff cannot break the analytic
+    symmetry.
     """
-    reject(chaos_problems(basis.max_order, rule.count))
-    c = np.broadcast_to(np.asarray(coef(rule.nodes), dtype=float), rule.nodes.shape)
-    table = basis.values(rule.nodes)
-    weighted = table * (c * rule.weights)
-    mat = weighted @ table.T
+    nodes = space.rule.nodes
+    c = np.broadcast_to(np.asarray(coef(nodes), dtype=float), nodes.shape)
+    weighted = space.table * (c * space.rule.weights)
+    mat = weighted @ space.table.T
     return 0.5 * (mat + mat.T)
 
 
-def project(samples: np.ndarray, basis: OrthonormalBasis, rule: QuadratureRule) -> np.ndarray:
-    """Coefficients of the degree-max_order expansion from samples at the rule's nodes."""
+def project(samples: np.ndarray, space: ChaosSpace) -> np.ndarray:
+    """Coefficients of the degree-max_order expansion from samples at the space's nodes."""
     samples = np.asarray(samples, dtype=float)
-    if samples.shape[-1] != rule.count:
+    if samples.shape[-1] != space.count:
         raise ValueError("sample count does not match the quadrature rule")
-    table = basis.values(rule.nodes)
-    return samples @ (table * rule.weights).T
+    return samples @ (space.table * space.rule.weights).T
 
 
 def deterministic_coeffs(values: np.ndarray, k: int) -> np.ndarray:

@@ -16,14 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, reject
-from .gpc import (
-    OrthonormalBasis,
-    QuadratureRule,
-    chaos_problems,
-    chaos_rule,
-    deterministic_coeffs,
-    project,
-)
+from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, project
 from .limiters import kind_problems, limited_slopes
 from .march import march, time_steps
 from .metrics import MomentField
@@ -415,7 +408,8 @@ def scheme_problems(
 ) -> list:
     """Problems with a phase-space solve's scheme settings.
 
-    The LF viscosity alpha and the CFL bound are checked when `grid` is given.
+    The LF viscosity alpha is checked when `barrier` and `alpha` are given,
+    the CFL bound when `grid` and `alpha` are.
     """
     problems = kind_problems(kind)
     if order not in (1, 2):
@@ -432,10 +426,11 @@ def scheme_problems(
         problems.append(("vflux", "vflux must be one of %s" % (VFLUX_VARIANTS,)))
     if not np.all(np.abs(z_nodes) <= 1.0):
         problems.append(("z", "samples must lie in [-1, 1]"))
-    if grid is not None:
-        if not alpha >= barrier.max_force:
+    if alpha is not None:
+        if barrier is not None and not alpha >= barrier.max_force:
             problems.append(("alpha", "LF viscosity alpha must be >= the largest |DV|"))
-        problems += _cfl_problems(grid, alpha)
+        if grid is not None:
+            problems += _cfl_problems(grid, alpha)
     return problems
 
 
@@ -504,30 +499,27 @@ def galerkin_rhs(
     grid: PhaseSpaceGrid,
     barrier: PotentialBarrier,
     stencil: BarrierStencil,
-    basis: OrthonormalBasis,
-    rule: QuadratureRule,
     alpha: float,
+    space: ChaosSpace,
     order: int = 1,
     kind: str = "arctan",
     vflux_variant: str = "product",
     diagnostics: dict | None = None,
 ) -> np.ndarray:
     """Time derivative of the coefficient field: evaluate, step, project."""
-    reject(chaos_problems(basis.max_order, rule.count))
-    table = basis.values(rule.nodes)
     nodal = rhs_nodal(
-        np.asarray(field, dtype=float) @ table,
+        np.asarray(field, dtype=float) @ space.table,
         grid,
         barrier,
         stencil,
-        rule.nodes,
+        space.rule.nodes,
         alpha,
         order,
         kind,
         vflux_variant,
         diagnostics,
     )
-    return project(nodal, basis, rule)
+    return project(nodal, space)
 
 
 def liouville_solve_gpc(
@@ -548,12 +540,11 @@ def liouville_solve_gpc(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
         problems=chaos_problems(k, quad_count),
     )
-    basis = OrthonormalBasis(k)
-    rule = chaos_rule(k, quad_count)
+    space = ChaosSpace.build(k, quad_count)
 
     diag = {"truncation_events": 0}
     rhs = lambda w: galerkin_rhs(
-        w, grid, barrier, stencil, basis, rule, alpha, order, kind, vflux_variant, diag
+        w, grid, barrier, stencil, alpha, space, order, kind, vflux_variant, diag
     )
     step = lambda w: advance(w, grid.dt, rhs, integrator)
     mass = lambda w: float(w[:, :, 0].sum() * (grid.dx * grid.dv))

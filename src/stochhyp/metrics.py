@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gpc import OrthonormalBasis, QuadratureRule, gauss_rule
+from .gpc import ChaosSpace, QuadratureRule
 
 __all__ = [
     "MomentField",
@@ -33,20 +33,20 @@ def error_quadrature_size(k: int) -> int:
     return max(k + 1, 16)
 
 
-def h_norm(field: np.ndarray, cell_measure: float, rule: QuadratureRule | None = None) -> float:
+def h_norm(field: np.ndarray, cell_measure: float, space: ChaosSpace | None = None) -> float:
     """Mixed norm of a coefficient field: sqrt of E_z[ l1-in-space squared ].
 
     `field` has shape (..., K+1) with leading axes enumerating cells.  The
-    expansion is evaluated at quadrature nodes, reduced with the l1 norm per
+    expansion is evaluated at the nodes of `space` (by default the order-K
+    space of `error_quadrature_size(K)` nodes), reduced with the l1 norm per
     node, and the squares are averaged with the probabilistic weights.
     """
     field = np.asarray(field, dtype=float)
     k = field.shape[-1] - 1
-    if rule is None:
-        rule = gauss_rule(error_quadrature_size(k))
-    basis = OrthonormalBasis(k)
-    nodal = field.reshape(-1, k + 1) @ basis.values(rule.nodes)
-    return nodal_h_norm(nodal, cell_measure, rule)
+    if space is None:
+        space = ChaosSpace.build(k, error_quadrature_size(k))
+    nodal = field.reshape(-1, k + 1) @ space.table
+    return nodal_h_norm(nodal, cell_measure, space.rule)
 
 
 def nodal_h_norm(samples: np.ndarray, cell_measure: float, rule: QuadratureRule) -> float:

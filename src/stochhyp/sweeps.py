@@ -14,7 +14,7 @@ import numpy as np
 
 from .convection import ConvectionGrid, InterfaceCoefficient, convection_errors, run_convection
 from .errors import reject
-from .gpc import gauss_rule
+from .gpc import ChaosSpace
 from .metrics import MomentField, error_quadrature_size, h_norm, l1_norm
 
 __all__ = [
@@ -87,7 +87,7 @@ def gpc_error_sweep(
 
     reference = np.asarray(solve(k_ref), dtype=float)
     ref_moments = MomentField.from_coeffs(reference)
-    rule = gauss_rule(error_quadrature_size(k_ref))
+    space = ChaosSpace.build(k_ref, error_quadrature_size(k_ref))
 
     def one(k: int) -> GpcSweepRow:
         field = np.asarray(solve(k), dtype=float)
@@ -102,7 +102,7 @@ def gpc_error_sweep(
             ),
             l1_variance=l1_norm(moments.variance - ref_moments.variance, cell_measure),
             l1_coeff=l1_norm(diff, cell_measure),
-            h_distance=h_norm(diff, cell_measure, rule),
+            h_distance=h_norm(diff, cell_measure, space),
         )
 
     return _map_ordered(one, k_list, threads)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from stochhyp import (
+    ChaosSpace,
     ConvectionGrid,
     InterfaceCoefficient,
-    OrthonormalBasis,
     PhaseSpaceGrid,
     PotentialBarrier,
     bap_slope,
@@ -146,7 +146,7 @@ def test_criterion_04_mass_conservation(interface_run_k20, phase_grid):
 
 
 def test_criterion_05_galerkin_matrix_closed_form():
-    matrix = galerkin_matrix(lambda z: z, OrthonormalBasis(10), gauss_rule(22))
+    matrix = galerkin_matrix(lambda z: z, ChaosSpace.build(10, 22))
     j = np.arange(10)
     off = (j + 1) / np.sqrt((2 * j + 1) * (2 * j + 3))
     expected = np.diag(off, 1) + np.diag(off, -1)

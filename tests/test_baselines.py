@@ -10,7 +10,6 @@ from stochhyp import (
     InterfaceCoefficient,
     PhaseSpaceGrid,
     PotentialBarrier,
-    barrier_step_characteristics,
     convection_solve_nodal,
     deterministic_liouville,
     gauss_rule,
@@ -157,6 +156,49 @@ def test_nodal_diagnostics_track_mass_per_node():
 
 
 # --- exact characteristics for the step potential ---
+
+
+# The test oracle until an exact solution of the tilted problem lands in the
+# package; it covers only the untilted step at z = 0.
+def barrier_step_characteristics(
+    x,
+    v,
+    t: float,
+    profile,
+    v_left: float = 0.2,
+    v_right: float = 0.0,
+):
+    """Exact solution of the step-potential transport problem at z = 0.
+
+    Traces each (x, v) backwards through free streaming, transmission with
+    speed sqrt(v^2 -+ jump), or reflection at the barrier, then samples the
+    initial profile.  Requires the step to drop from left to right.
+    """
+    if v_left <= v_right:
+        raise ValueError("the potential step must drop from left to right")
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    jump = 2.0 * (v_left - v_right)
+    ratio = np.divide(x, np.where(v == 0.0, 1.0, v))
+
+    x0 = x - v * t
+    v0 = v.astype(float, copy=True)
+
+    # ends right of the barrier moving right, having touched it
+    touched = (x > 0.0) & (v > 0.0) & (x < v * t)
+    transmitted = touched & (v * v > jump)
+    w = np.sqrt(np.maximum(v * v - jump, 0.0))
+    x0 = np.where(transmitted, -w * (t - ratio), x0)
+    v0 = np.where(transmitted, w, v0)
+    reflected = touched & ~(v * v > jump)
+    x0 = np.where(reflected, v * t - x, x0)
+    v0 = np.where(reflected, -v, v0)
+
+    # ends left of the barrier moving left: always transmitted from the right
+    crossed = (x < 0.0) & (v < 0.0) & (x > v * t)
+    w = np.sqrt(v * v + jump)
+    x0 = np.where(crossed, w * (t - ratio), x0)
+    v0 = np.where(crossed, -w, v0)
+    return profile(x0, v0)
 
 
 def test_characteristics_at_time_zero_are_the_profile():

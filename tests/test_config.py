@@ -108,6 +108,25 @@ def test_low_viscosity_is_rejected():
     assert any("alpha" in v for v in found)
 
 
+def test_a_bad_coefficient_does_not_hide_the_grid_rules():
+    text = "preset = example1_order1\n[grid]\ndx = 0.007\n[random]\nc_minus = nan\n"
+    assert violations_of(text) == [
+        "base speeds must be positive",
+        "(b - a) must be an integer multiple of dx",
+    ]
+
+
+def test_a_bad_barrier_does_not_hide_the_cfl_rule():
+    text = (
+        "preset = example2_order1\nt_final = 0.1\n[grid]\ndt = 0.05\n"
+        "[random]\nv_left = nan\nalpha = 0.1\n"
+    )
+    found = violations_of(text)
+    assert found[0] == "v_left, v_right and slope_amp must be finite"
+    assert re.fullmatch(r"CFL number .* = 3\.49\d* exceeds 1", found[1])
+    assert len(found) == 2
+
+
 def test_every_preset_parses_and_round_trips():
     for name in PRESETS:
         cfg = parse_config("preset = %s\n" % name)

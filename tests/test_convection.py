@@ -5,10 +5,10 @@ import pytest
 
 from stochhyp import (
     AnalyticConvectionSolution,
+    ChaosSpace,
     ConfigurationError,
     ConvectionGrid,
     InterfaceCoefficient,
-    OrthonormalBasis,
     PROFILES,
     build_lambda_matrices,
     convection_errors,
@@ -29,6 +29,12 @@ COS = PROFILES["cos_bump"]
 
 def small_grid(dx=0.05, dt=0.01, a=-1.0, b=1.0):
     return ConvectionGrid.from_spacing(a, b, dx, dt)
+
+
+def node_speeds(coef, grid, space):
+    """Per-node (dt/dx)*c on each side of the jump, as the order-2 solve builds them."""
+    nodes = space.rule.nodes
+    return grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
 
 
 def errors(coef, grid, run, t_final, profile="cos_bump"):
@@ -103,8 +109,7 @@ def test_cfl_check_at_extreme_perturbation():
 def test_lambda_matrices_two_modes():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid(dx=0.05, dt=0.01)  # dt/dx = 1/5
-    basis = OrthonormalBasis(1)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(1))
     off = 0.3 / np.sqrt(3.0)
     np.testing.assert_allclose(lam_m, 0.2 * np.array([[1.0, off], [off, 1.0]]), atol=1e-14)
     np.testing.assert_allclose(lam_p, 0.2 * np.array([[2.0, off], [off, 2.0]]), atol=1e-14)
@@ -113,8 +118,7 @@ def test_lambda_matrices_two_modes():
 def test_lambda_matrices_deterministic_limit():
     coef = InterfaceCoefficient(1.0, 2.0, 0.0)
     grid = small_grid(dx=0.05, dt=0.01)
-    basis = OrthonormalBasis(3)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(3))
     np.testing.assert_allclose(lam_m, 0.2 * np.eye(4), atol=1e-14)
     np.testing.assert_allclose(lam_p, 0.4 * np.eye(4), atol=1e-14)
 
@@ -122,8 +126,7 @@ def test_lambda_matrices_deterministic_limit():
 def test_lambda_matrices_affine_structure():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid(dx=0.05, dt=0.01)
-    basis = OrthonormalBasis(6)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(6))
     want_m = 0.2 * (np.eye(7) + 0.3 * tridiagonal_coupling(7))
     want_p = 0.2 * (2.0 * np.eye(7) + 0.3 * tridiagonal_coupling(7))
     np.testing.assert_allclose(lam_m, want_m, atol=1e-13)
@@ -134,7 +137,7 @@ def test_lambda_spectral_radius_bound():
     # speeds bounded by c_plus + |sigma|, so eigenvalues stay below 0.46
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid(dx=0.05, dt=0.01)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, OrthonormalBasis(8))
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(8))
     assert np.max(np.abs(np.linalg.eigvalsh(lam_p))) <= 0.46 + 1e-12
     assert np.max(np.abs(np.linalg.eigvalsh(lam_m))) <= 0.26 + 1e-12
 
@@ -145,8 +148,7 @@ def test_lambda_spectral_radius_bound():
 def test_constant_state_fixed_by_uniform_speed():
     coef = InterfaceCoefficient(1.0, 1.0, 0.0)
     grid = small_grid()
-    basis = OrthonormalBasis(0)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(0))
     field = np.ones((grid.cells, 1))
     stepped = step_first_order(field, lam_m, lam_p, grid.interface_index)
     np.testing.assert_array_equal(stepped[1:], field[1:])  # inflow cell drains
@@ -155,8 +157,7 @@ def test_constant_state_fixed_by_uniform_speed():
 def test_single_pulse_mass_split():
     coef = InterfaceCoefficient(1.0, 2.0, 0.0)
     grid = small_grid(dx=0.05, dt=0.01)
-    basis = OrthonormalBasis(0)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(0))
     field = np.zeros((grid.cells, 1))
     field[5, 0] = 1.0  # interior, left of the jump
     stepped = step_first_order(field, lam_m, lam_p, grid.interface_index)
@@ -180,8 +181,7 @@ def test_speed_ratio_profile_is_stationary():
 def test_step_is_linear_in_the_field():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    basis = OrthonormalBasis(3)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(3))
     rng = np.random.default_rng(21)
     a = rng.standard_normal((grid.cells, 4))
     b = rng.standard_normal((grid.cells, 4))
@@ -195,7 +195,7 @@ def test_step_is_linear_in_the_field():
 def test_step_rejects_shape_mismatch():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    lam_m, lam_p = build_lambda_matrices(coef, grid, OrthonormalBasis(2))
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(2))
     with pytest.raises(ValueError):
         step_first_order(np.zeros((grid.cells, 5)), lam_m, lam_p, grid.interface_index)
 
@@ -205,13 +205,13 @@ def test_coefficient_step_commutes_with_evaluation_on_low_degree_fields():
     # stepping commutes with pointwise evaluation at any node
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    basis = OrthonormalBasis(3)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    space = ChaosSpace.build(3)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, space)
     rng = np.random.default_rng(23)
     field = rng.standard_normal((grid.cells, 4))
     field[:, 3] = 0.0
     zs = gauss_rule(6).nodes
-    table = basis.values(zs)
+    table = space.basis.values(zs)
     matrix_path = step_first_order(field, lam_m, lam_p, grid.interface_index) @ table
     nodal_path = step_first_order_nodal(
         field @ table, grid.ratio * coef.left(zs), grid.ratio * coef.right(zs), grid.interface_index
@@ -239,31 +239,34 @@ def test_second_order_fixes_linear_data():
 def test_second_order_matches_first_order_on_flat_data():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    basis = OrthonormalBasis(2)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, basis)
+    space = ChaosSpace.build(2)
+    lam_m, lam_p = build_lambda_matrices(coef, grid, space)
     field = np.zeros((grid.cells, 3))
     field[:, 0] = 2.0
     first = step_first_order(field, lam_m, lam_p, grid.interface_index)
-    second = step_second_order(field, coef, grid, basis)
+    second = step_second_order(field, *node_speeds(coef, grid, space), grid, space)
     np.testing.assert_allclose(second, first, atol=1e-14)
 
 
 def test_second_order_projection_insensitive_to_rule_size():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    basis = OrthonormalBasis(3)
     bump = np.exp(-2.0 * (grid.centers + 0.8) ** 2)
     field = bump[:, None] * np.array([1.0, 0.3, 0.1, 0.03])
-    a = step_second_order(field, coef, grid, basis)
-    b = step_second_order(field, coef, grid, basis, rule=gauss_rule(40))
+    default, dense = ChaosSpace.build(3), ChaosSpace.build(3, 40)
+    a = step_second_order(field, *node_speeds(coef, grid, default), grid, default)
+    b = step_second_order(field, *node_speeds(coef, grid, dense), grid, dense)
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_second_order_rejects_unknown_map():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
+    space = ChaosSpace.build(1)
     with pytest.raises(ConfigurationError):
-        step_second_order(np.zeros((grid.cells, 2)), coef, grid, OrthonormalBasis(1), kind="superbee")
+        step_second_order(
+            np.zeros((grid.cells, 2)), *node_speeds(coef, grid, space), grid, space, kind="superbee"
+        )
 
 
 # --- exact solution ---

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stochhyp import (
+    ChaosSpace,
     MomentField,
     OrthonormalBasis,
     QuadratureRule,
@@ -124,83 +125,73 @@ def test_rule_rejects_nonpositive_count():
 
 
 def test_constant_coefficient_gives_identity():
-    basis = OrthonormalBasis(3)
-    mat = galerkin_matrix(lambda z: np.ones_like(z), basis, gauss_rule(8))
+    mat = galerkin_matrix(lambda z: np.ones_like(z), ChaosSpace.build(3, 8))
     np.testing.assert_allclose(mat, np.eye(4), atol=1e-14)
 
 
 def test_linear_coefficient_two_modes():
-    basis = OrthonormalBasis(1)
-    mat = galerkin_matrix(lambda z: z, basis, gauss_rule(4))
+    mat = galerkin_matrix(lambda z: z, ChaosSpace.build(1, 4))
     want = np.array([[0.0, 1.0 / np.sqrt(3.0)], [1.0 / np.sqrt(3.0), 0.0]])
     np.testing.assert_allclose(mat, want, atol=1e-15)
 
 
 def test_linear_coefficient_closed_form_tridiagonal():
-    basis = OrthonormalBasis(10)
-    mat = galerkin_matrix(lambda z: z, basis, gauss_rule(22))
+    mat = galerkin_matrix(lambda z: z, ChaosSpace.build(10, 22))
     np.testing.assert_allclose(mat, tridiagonal_coupling(11), atol=1e-12)
 
 
 def test_affine_coefficient_is_identity_plus_scaled_coupling():
-    basis = OrthonormalBasis(2)
-    mat = galerkin_matrix(lambda z: 1.0 + 0.3 * z, basis, gauss_rule(64))
+    mat = galerkin_matrix(lambda z: 1.0 + 0.3 * z, ChaosSpace.build(2, 64))
     want = np.eye(3) + 0.3 * tridiagonal_coupling(3)
     np.testing.assert_allclose(mat, want, atol=1e-13)
 
 
 def test_matrix_against_dense_quadrature_oracle():
     # independent dense rule from numpy, general smooth coefficient
-    basis = OrthonormalBasis(5)
+    space = ChaosSpace.build(5, 64)
     coef = lambda z: np.exp(0.4 * z) + z**2
-    mat = galerkin_matrix(coef, basis, gauss_rule(64))
+    mat = galerkin_matrix(coef, space)
     nodes, weights = np.polynomial.legendre.leggauss(200)
-    table = basis.values(nodes)
+    table = space.basis.values(nodes)
     dense = (table * (coef(nodes) * weights / 2.0)) @ table.T
     np.testing.assert_allclose(mat, dense, atol=1e-12)
 
 
 def test_matrix_is_exactly_symmetric():
-    basis = OrthonormalBasis(6)
-    mat = galerkin_matrix(lambda z: np.sin(z) + 2.0, basis, gauss_rule(16))
+    mat = galerkin_matrix(lambda z: np.sin(z) + 2.0, ChaosSpace.build(6, 16))
     np.testing.assert_array_equal(mat, mat.T)
 
 
 def test_matrix_rejects_small_rule():
-    basis = OrthonormalBasis(5)
     with pytest.raises(ValueError):
-        galerkin_matrix(lambda z: z, basis, gauss_rule(3))
+        galerkin_matrix(lambda z: z, ChaosSpace.build(5, 3))
 
 
 # --- projection and evaluation ---
 
 
 def test_constant_projects_to_mode_zero():
-    basis = OrthonormalBasis(4)
-    rule = gauss_rule(6)
-    coeffs = project(np.full(rule.count, 3.0), basis, rule)
+    space = ChaosSpace.build(4, 6)
+    coeffs = project(np.full(space.count, 3.0), space)
     np.testing.assert_allclose(coeffs, [3.0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_linear_sample_projects_to_first_mode():
-    basis = OrthonormalBasis(3)
-    rule = gauss_rule(6)
-    coeffs = project(rule.nodes.copy(), basis, rule)
+    space = ChaosSpace.build(3, 6)
+    coeffs = project(space.rule.nodes.copy(), space)
     np.testing.assert_allclose(coeffs, [0.0, 1.0 / np.sqrt(3.0), 0.0, 0.0], atol=1e-15)
 
 
 def test_basis_function_projects_to_unit_vector():
-    basis = OrthonormalBasis(4)
-    rule = gauss_rule(8)
-    coeffs = project(basis.values(rule.nodes)[2].copy(), basis, rule)
+    space = ChaosSpace.build(4, 8)
+    coeffs = project(space.table[2].copy(), space)
     np.testing.assert_allclose(coeffs, [0, 0, 1.0, 0, 0], atol=1e-13)
 
 
 def test_project_rejects_length_mismatch():
-    basis = OrthonormalBasis(2)
-    rule = gauss_rule(4)
+    space = ChaosSpace.build(2, 4)
     with pytest.raises(ValueError):
-        project(np.zeros(3), basis, rule)
+        project(np.zeros(3), space)
 
 
 def test_evaluate_matches_basis_values():
@@ -213,12 +204,11 @@ def test_evaluate_matches_basis_values():
 
 
 def test_round_trip_on_polynomials_is_identity():
-    basis = OrthonormalBasis(6)
-    rule = gauss_rule(7)
+    space = ChaosSpace.build(6, 7)
     rng = np.random.default_rng(7)
     for _ in range(20):
         coeffs = rng.standard_normal(7)
-        back = project(coeffs @ basis.values(rule.nodes), basis, rule)
+        back = project(coeffs @ space.table, space)
         np.testing.assert_allclose(back, coeffs, atol=1e-12)
 
 
@@ -249,9 +239,8 @@ def test_moments_of_unit_first_mode():
 
 def test_moments_of_projected_linear_sample():
     # var(z) over [-1, 1] is 1/3
-    basis = OrthonormalBasis(4)
-    rule = gauss_rule(8)
-    coeffs = project(rule.nodes.copy(), basis, rule)
+    space = ChaosSpace.build(4, 8)
+    coeffs = project(space.rule.nodes.copy(), space)
     mf = MomentField.from_coeffs(coeffs)
     assert mf.expectation == pytest.approx(0.0, abs=1e-15)
     assert mf.variance == pytest.approx(1.0 / 3.0, rel=1e-13)
@@ -261,3 +250,52 @@ def test_variance_is_never_negative():
     rng = np.random.default_rng(3)
     for _ in range(50):
         assert MomentField.from_coeffs(rng.standard_normal(6)).variance >= 0.0
+
+
+# --- the chaos space of a solve ---
+
+
+def test_space_defaults_to_2k_plus_2_nodes_and_tabulates_its_basis():
+    space = ChaosSpace.build(3)
+    assert space.count == 8
+    np.testing.assert_array_equal(space.table, space.basis.values(gauss_rule(8).nodes))
+
+
+def _liouville_solve(order):
+    from stochhyp import PhaseSpaceGrid, PotentialBarrier, liouville_solve_gpc
+
+    grid = PhaseSpaceGrid(-2.0, 2.0, 2.0, 20, 20, 0.002)
+    return lambda steps: liouville_solve_gpc(
+        grid, PotentialBarrier(), 3, steps * grid.dt, order=order
+    )
+
+
+def _convection_solve(order):
+    from stochhyp import ConvectionGrid, InterfaceCoefficient, run_convection
+
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, 0.01)
+    return lambda steps: run_convection(
+        InterfaceCoefficient(), grid, 3, steps * grid.dt, order=order
+    )
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [_liouville_solve(1), _liouville_solve(2), _convection_solve(2)],
+    ids=["liouville_order1", "liouville_order2", "convection_order2"],
+)
+def test_the_basis_table_is_built_once_per_solve(monkeypatch, solve):
+    values = OrthonormalBasis.values
+    calls = []
+
+    def counted(self, z):
+        calls.append(z)
+        return values(self, z)
+
+    monkeypatch.setattr(OrthonormalBasis, "values", counted)
+    counts = []
+    for steps in (2, 6):
+        calls.clear()
+        solve(steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

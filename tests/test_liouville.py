@@ -14,7 +14,7 @@ from stochhyp import (
     resolve_interface,
 )
 from stochhyp.liouville import advance, check_cfl, galerkin_rhs, rhs_nodal
-from stochhyp import OrthonormalBasis, gauss_rule
+from stochhyp import ChaosSpace, gauss_rule
 
 STEP = PotentialBarrier(0.2, 0.0, 0.1)
 
@@ -279,11 +279,9 @@ def test_rk2_one_step_beats_euler_on_smooth_decay():
 
 
 def test_galerkin_rhs_rejects_small_rule():
-    grid = unit_grid(nx=20, nv=20)
-    stencil = BarrierStencil.build(grid, STEP)
-    basis = OrthonormalBasis(3)
+    # the rule is checked where the space that galerkin_rhs takes is built
     with pytest.raises(ConfigurationError):
-        galerkin_rhs(np.zeros((20, 20, 4)), grid, STEP, stencil, basis, gauss_rule(2), 0.1)
+        ChaosSpace.build(3, 2)
 
 
 def test_galerkin_rhs_matches_dense_quadrature_on_low_degree_fields():
@@ -291,14 +289,13 @@ def test_galerkin_rhs_matches_dense_quadrature_on_low_degree_fields():
     # derivatives and any rule with >= K+1 nodes integrates them exactly
     grid = unit_grid(nx=24, nv=24)
     stencil = BarrierStencil.build(grid, STEP)
-    basis = OrthonormalBasis(3)
     rng = np.random.default_rng(3)
     field = rng.standard_normal((24, 24, 4)) * np.exp(
         -(grid.x_centers[:, None, None] ** 2) - (grid.v_centers[None, :, None] ** 2)
     )
     field[:, :, 3] = 0.0
-    small = galerkin_rhs(field, grid, STEP, stencil, basis, gauss_rule(4), 0.1)
-    dense = galerkin_rhs(field, grid, STEP, stencil, basis, gauss_rule(64), 0.1)
+    small = galerkin_rhs(field, grid, STEP, stencil, 0.1, ChaosSpace.build(3, 4))
+    dense = galerkin_rhs(field, grid, STEP, stencil, 0.1, ChaosSpace.build(3, 64))
     np.testing.assert_allclose(small, dense, atol=1e-10)
 
 

@@ -132,13 +132,12 @@ def test_moments_from_samples_linear_in_z():
 
 
 def test_moments_from_samples_matches_coefficient_path():
-    from stochhyp import OrthonormalBasis
+    from stochhyp import ChaosSpace
 
-    basis = OrthonormalBasis(4)
-    rule = gauss_rule(10)
+    space = ChaosSpace.build(4, 10)
     rng = np.random.default_rng(12)
     coeffs = rng.standard_normal((6, 5))
-    sampled = moments_from_samples(coeffs @ basis.values(rule.nodes), rule)
+    sampled = moments_from_samples(coeffs @ space.table, space.rule)
     direct = MomentField.from_coeffs(coeffs)
     np.testing.assert_allclose(sampled.expectation, direct.expectation, atol=1e-13)
     np.testing.assert_allclose(sampled.variance, direct.variance, atol=1e-12)

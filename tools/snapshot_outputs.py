@@ -1,0 +1,68 @@
+"""Write the command line's outputs on a fixed set of runs, for a byte-identity check.
+
+Usage (from the repository root):
+
+    python3 tools/snapshot_outputs.py OUT_DIR
+
+Runs `stochhyp run` on every built-in preset at t_final = 0.1, and on
+`example1_order1` the chaos-order sweep `--k 2..8 --ref 12` and the mesh
+sweep `--dx 0.02,0.01,0.005`, each into its own subdirectory of OUT_DIR,
+which must not exist yet.  The package is imported from the `src/` of the
+checkout this file sits in.  `exit_codes.txt` records each command's exit
+code, and the `wall_time` line is dropped from every `run.txt`, so
+`diff -r` of the snapshots of two checkouts is empty exactly when their
+outputs agree byte for byte.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from stochhyp import cli  # noqa: E402
+from stochhyp.config import PRESETS  # noqa: E402
+
+SWEEPS = {
+    "sweep_k": ["--k", "2..8", "--ref", "12"],
+    "sweep_dx": ["--dx", "0.02,0.01,0.005"],
+}
+
+
+def commands():
+    """(output name, argv after the config path, config text) of every command."""
+    for name in PRESETS:
+        yield name, ["run"], "preset = %s\nt_final = 0.1\n" % name
+    for name, flags in SWEEPS.items():
+        yield name, ["sweep", *flags], "preset = example1_order1\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="snapshot directory, created here")
+    out = parser.parse_args(argv).out_dir
+    out.mkdir(parents=True)
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (command, *flags), text in commands():
+            config = Path(tmp) / ("%s.cfg" % name)
+            config.write_text(text + "[output]\ndir = %s\n" % (out / name))
+            # the "wrote <path>" lines name OUT_DIR, so they stay out of the snapshot
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, str(config), *flags])
+            codes.append("%s %d\n" % (name, code))
+            summary = out / name / "run.txt"
+            if summary.is_file():
+                lines = summary.read_text().splitlines(keepends=True)
+                summary.write_text("".join(l for l in lines if not l.startswith("wall_time = ")))
+    (out / "exit_codes.txt").write_text("".join(codes))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
