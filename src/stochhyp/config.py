@@ -10,6 +10,7 @@ any other key is rejected at its line, and a preset's other values are dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import convection, liouville
@@ -307,8 +308,8 @@ def _domain_checks(cfg: ExperimentConfig, where: dict[str, int]) -> list[str]:
             grid = _built(problems, PhaseSpaceGrid, cfg.x_lo, cfg.x_hi, cfg.v_hi, cfg.nx, cfg.nv, cfg.dt)
         barrier = _built(problems, PotentialBarrier, cfg.v_left, cfg.v_right, cfg.slope_amp)
         alpha = cfg.alpha
-        if alpha is None and barrier is not None:
-            alpha = barrier.max_force
+        if alpha is None and math.isfinite(cfg.slope_amp):
+            alpha = abs(cfg.slope_amp)  # barrier.max_force, from slope_amp alone
         tagged += liouville.scheme_problems(
             cfg.order, cfg.integrator, cfg.profile, cfg.limiter, cfg.vflux, cfg.z,
             grid, barrier, alpha,

@@ -4,8 +4,9 @@ Solves u_t + v u_x - V_x(x, z) u_v = 0 on an (x, v) grid where the potential
 V(x, z) = V0(x) + slope*x*z jumps at x = 0.  The x-flux at the barrier routes
 density between velocity rows so kinetic plus potential energy is conserved
 (transmission) or the velocity is reversed (reflection); v-fluxes are central
-and characteristic-independent.  The random dimension is handled by evaluating
-the nodal scheme at quadrature nodes and projecting back per time step.
+and characteristic-independent.  Order 1 is linear in u and sees z only in
+the force, so gPC steps its coefficients directly, the force coupling the modes
+through its Galerkin matrix; order 2 steps at quadrature nodes and projects.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, reject
-from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, project
+from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, galerkin_matrix, project
 from .limiters import kind_problems, limited_slopes
 from .march import march, time_steps
 from .metrics import MomentField
@@ -253,15 +254,20 @@ class BarrierStencil:
         return cls(right_side, left_side, trunc)
 
 
+def _times_force(w: np.ndarray, force: np.ndarray) -> np.ndarray:
+    # on the last axis: a per-node vector, or the symmetric Galerkin matrix
+    return w @ force if force.ndim == 2 else w * force
+
+
 def _vflux_product(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> np.ndarray:
     # central flux for the v-advection term -force*u, in conservative form;
     # zero-gradient ghosts collapse the boundary flux to -force*u_boundary
     flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
-    flux[:, 1:-1] = (-0.5 * force) * (u[:, :-1] + u[:, 1:]) - (0.5 * alpha) * (
+    flux[:, 1:-1] = _times_force(u[:, :-1] + u[:, 1:], -0.5 * force) - (0.5 * alpha) * (
         u[:, 1:] - u[:, :-1]
     )
-    flux[:, 0] = -force * u[:, 0]
-    flux[:, -1] = -force * u[:, -1]
+    flux[:, 0] = _times_force(u[:, 0], -force)
+    flux[:, -1] = _times_force(u[:, -1], -force)
     return -(flux[:, 1:] - flux[:, :-1]) / dv
 
 
@@ -271,11 +277,12 @@ def _vflux_ratio(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> n
     out = np.zeros_like(u)
     out[:, 1:-1] = (
         (0.5 * alpha) * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2])
-        - (0.5 * force) * (u[:, 2:] - u[:, :-2])
+        - _times_force(u[:, 2:] - u[:, :-2], 0.5 * force)
     ) / dv
-    out[:, 0] = ((0.5 * alpha) * (u[:, 1] - u[:, 0]) - (0.5 * force) * (u[:, 1] - u[:, 0])) / dv
+    diff = u[:, 1] - u[:, 0]
+    out[:, 0] = ((0.5 * alpha) * diff - _times_force(diff, 0.5 * force)) / dv
     out[:, -1] = (
-        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - (0.5 * force) * (u[:, -1] - u[:, -2])
+        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - _times_force(u[:, -1] - u[:, -2], 0.5 * force)
     ) / dv
     return out
 
@@ -296,21 +303,23 @@ def _vflux_second(
 def rhs_nodal(
     u: np.ndarray,
     grid: PhaseSpaceGrid,
-    barrier: PotentialBarrier,
     stencil: BarrierStencil,
-    z_nodes: np.ndarray,
+    force: np.ndarray,
     alpha: float,
     order: int = 1,
     kind: str = "arctan",
     vflux_variant: str = "product",
     diagnostics: dict | None = None,
 ) -> np.ndarray:
-    """Time derivative of nodal values u with shape (nx, nv, nodes)."""
+    """Time derivative of u, shape (nx, nv, n); `force` acts on the last axis.
+
+    Nodal values take the force per node.  Order 1, linear in u, steps gPC
+    coefficients exactly with the force's Galerkin matrix; order 2 is nodal only.
+    """
     v = grid.v_centers
     half = grid.nv // 2
     il = grid.barrier_edge - 1
     ir = grid.barrier_edge
-    force = barrier.force(z_nodes)
 
     if order == 1:
         right_edge = left_edge = u
@@ -345,13 +354,12 @@ def rhs_nodal(
     out[:, half:] = (-1.0 / grid.dx) * v[half:, None] * dpos
     out[:, :half] = (-1.0 / grid.dx) * v[:half, None] * dneg
 
-    if order == 1:
-        if vflux_variant == "product":
-            out += _vflux_product(u, force, alpha, grid.dv)
-        else:
-            out += _vflux_ratio(u, force, alpha, grid.dv)
-    else:
+    if order == 2:
         out += _vflux_second(u, force, grid.dt, grid.dv)
+    elif vflux_variant == "product":
+        out += _vflux_product(u, force, alpha, grid.dv)
+    else:
+        out += _vflux_ratio(u, force, alpha, grid.dv)
     return out
 
 
@@ -480,9 +488,8 @@ def liouville_solve_nodal(
     )
 
     diag = {"truncation_events": 0}
-    rhs = lambda w: rhs_nodal(
-        w, grid, barrier, stencil, z_nodes, alpha, order, kind, vflux_variant, diag
-    )
+    force = barrier.force(z_nodes)
+    rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, order, kind, vflux_variant, diag)
     step = lambda w: advance(w, grid.dt, rhs, integrator)
     mass = lambda w: w.sum(axis=(0, 1)) * (grid.dx * grid.dv)
     u, diagnostics = march(
@@ -499,25 +506,15 @@ def galerkin_rhs(
     grid: PhaseSpaceGrid,
     barrier: PotentialBarrier,
     stencil: BarrierStencil,
-    alpha: float,
+    kind: str,
     space: ChaosSpace,
-    order: int = 1,
-    kind: str = "arctan",
-    vflux_variant: str = "product",
     diagnostics: dict | None = None,
 ) -> np.ndarray:
-    """Time derivative of the coefficient field: evaluate, step, project."""
+    """Order-2 time derivative of the coefficient field: evaluate, step, project."""
     nodal = rhs_nodal(
-        np.asarray(field, dtype=float) @ space.table,
-        grid,
-        barrier,
-        stencil,
-        space.rule.nodes,
-        alpha,
-        order,
-        kind,
-        vflux_variant,
-        diagnostics,
+        field @ space.table, grid, stencil, barrier.force(space.rule.nodes),
+        0.0,  # alpha: the order-2 v-flux has no LF viscosity
+        2, kind, diagnostics=diagnostics,
     )
     return project(nodal, space)
 
@@ -543,9 +540,11 @@ def liouville_solve_gpc(
     space = ChaosSpace.build(k, quad_count)
 
     diag = {"truncation_events": 0}
-    rhs = lambda w: galerkin_rhs(
-        w, grid, barrier, stencil, alpha, space, order, kind, vflux_variant, diag
-    )
+    if order == 1:
+        force = galerkin_matrix(barrier.force, space)
+        rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, 1, kind, vflux_variant, diag)
+    else:
+        rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, diag)
     step = lambda w: advance(w, grid.dt, rhs, integrator)
     mass = lambda w: float(w[:, :, 0].sum() * (grid.dx * grid.dv))
     field, diagnostics = march(

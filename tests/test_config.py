@@ -127,6 +127,18 @@ def test_a_bad_barrier_does_not_hide_the_cfl_rule():
     assert len(found) == 2
 
 
+def test_a_bad_barrier_does_not_hide_the_cfl_rule_of_the_default_viscosity():
+    # with alpha unset the viscosity is |slope_amp|, finite here
+    text = (
+        "preset = example2_order1\nt_final = 0.1\n[grid]\ndt = 0.05\n"
+        "[random]\nv_left = nan\n"
+    )
+    found = violations_of(text)
+    assert found[0] == "v_left, v_right and slope_amp must be finite"
+    assert re.fullmatch(r"CFL number .* = 3\.49\d* exceeds 1", found[1])
+    assert len(found) == 2
+
+
 def test_every_preset_parses_and_round_trips():
     for name in PRESETS:
         cfg = parse_config("preset = %s\n" % name)

@@ -13,8 +13,9 @@ from stochhyp import (
     liouville_solve_nodal,
     resolve_interface,
 )
-from stochhyp.liouville import advance, check_cfl, galerkin_rhs, rhs_nodal
-from stochhyp import ChaosSpace, gauss_rule
+from stochhyp.liouville import advance, check_cfl, rhs_nodal
+from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
+from stochhyp.gpc import deterministic_coeffs
 
 STEP = PotentialBarrier(0.2, 0.0, 0.1)
 
@@ -151,7 +152,7 @@ def test_zero_field_has_zero_rhs():
     grid = unit_grid()
     stencil = BarrierStencil.build(grid, STEP)
     u = np.zeros((grid.nx, grid.nv, 2))
-    out = rhs_nodal(u, grid, STEP, stencil, np.array([0.0, 0.5]), 0.1)
+    out = rhs_nodal(u, grid, stencil, STEP.force([0.0, 0.5]), 0.1)
     np.testing.assert_array_equal(out, 0.0)
 
 
@@ -161,7 +162,7 @@ def test_free_stream_constant_state():
     barrier = PotentialBarrier(0.0, 0.0, 0.0)
     stencil = BarrierStencil.build(grid, barrier)
     u = np.ones((grid.nx, grid.nv, 1))
-    out = rhs_nodal(u, grid, barrier, stencil, np.array([0.4]), 0.0)
+    out = rhs_nodal(u, grid, stencil, barrier.force([0.4]), 0.0)
     np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
 
@@ -171,7 +172,7 @@ def test_tilted_potential_preserves_constants():
     barrier = PotentialBarrier(0.0, 0.0, 0.1)
     stencil = BarrierStencil.build(grid, barrier)
     u = np.ones((grid.nx, grid.nv, 1))
-    out = rhs_nodal(u, grid, barrier, stencil, np.array([0.8]), 0.1)
+    out = rhs_nodal(u, grid, stencil, barrier.force([0.8]), 0.1)
     np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
 
@@ -183,7 +184,7 @@ def test_lf_flux_reduces_to_upwind_at_matched_viscosity():
     force = 0.1 * 0.7
     rng = np.random.default_rng(0)
     u = constant_in_x(rng.standard_normal(grid.nv), grid)
-    out = rhs_nodal(u, grid, barrier, stencil, z, alpha=force)
+    out = rhs_nodal(u, grid, stencil, barrier.force(z), alpha=force)
     # positive force transports downward in v: upwind uses the row above
     hand = force * (u[:, 2:, 0] - u[:, 1:-1, 0]) / grid.dv
     np.testing.assert_allclose(out[:, 1:-1, 0], hand, atol=1e-14)
@@ -195,8 +196,8 @@ def test_ratio_variant_reverses_the_transport_sign():
     stencil = BarrierStencil.build(grid, barrier)
     z = np.array([1.0])
     u = constant_in_x(grid.v_centers, grid)  # linear in v
-    product = rhs_nodal(u, grid, barrier, stencil, z, 0.0, vflux_variant="product")
-    ratio = rhs_nodal(u, grid, barrier, stencil, z, 0.0, vflux_variant="ratio")
+    product = rhs_nodal(u, grid, stencil, barrier.force(z), 0.0, vflux_variant="product")
+    ratio = rhs_nodal(u, grid, stencil, barrier.force(z), 0.0, vflux_variant="ratio")
     np.testing.assert_allclose(product[:, 1:-1], 0.1 * 1.0, atol=1e-13)
     np.testing.assert_allclose(ratio[:, 1:-1], -product[:, 1:-1], atol=1e-13)
 
@@ -208,9 +209,9 @@ def test_first_order_rhs_is_linear_in_the_field():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((40, 40, 2))
     b = rng.standard_normal((40, 40, 2))
-    lhs = rhs_nodal(1.7 * a + b, grid, STEP, stencil, z, 0.1)
-    rhs = 1.7 * rhs_nodal(a, grid, STEP, stencil, z, 0.1) + rhs_nodal(
-        b, grid, STEP, stencil, z, 0.1
+    lhs = rhs_nodal(1.7 * a + b, grid, stencil, STEP.force(z), 0.1)
+    rhs = 1.7 * rhs_nodal(a, grid, stencil, STEP.force(z), 0.1) + rhs_nodal(
+        b, grid, stencil, STEP.force(z), 0.1
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -222,7 +223,7 @@ def test_second_order_vflux_transports_quadratics_exactly():
     stencil = BarrierStencil.build(grid, barrier)
     z = np.array([0.7])
     u = constant_in_x(grid.v_centers**2, grid)
-    stepped = u + grid.dt * rhs_nodal(u, grid, barrier, stencil, z, 0.0, order=2)
+    stepped = u + grid.dt * rhs_nodal(u, grid, stencil, barrier.force(z), 0.0, order=2)
     exact = (grid.v_centers + 0.1 * 0.7 * grid.dt) ** 2
     np.testing.assert_allclose(stepped[:, 1:-1, 0] - exact[None, 1:-1], 0.0, atol=1e-13)
 
@@ -284,19 +285,51 @@ def test_galerkin_rhs_rejects_small_rule():
         ChaosSpace.build(3, 2)
 
 
-def test_galerkin_rhs_matches_dense_quadrature_on_low_degree_fields():
-    # first-order rhs is affine in z here, so degree K-1 fields give degree K
-    # derivatives and any rule with >= K+1 nodes integrates them exactly
+def evaluate_step_project(field, grid, barrier, stencil, alpha, space, vflux, diagnostics):
+    # the order-1 Galerkin step through the nodes: the reference for the
+    # coefficient-space step
+    nodal = rhs_nodal(
+        field @ space.table, grid, stencil, barrier.force(space.rule.nodes), alpha,
+        vflux_variant=vflux, diagnostics=diagnostics,
+    )
+    return project(nodal, space)
+
+
+@pytest.mark.parametrize("vflux", ["product", "ratio"])
+@pytest.mark.parametrize("m", [6, 12, 64])  # k + 1, 2k + 2 and a dense rule at k = 5
+def test_order1_rhs_in_coefficient_space_matches_evaluate_step_project(m, vflux):
+    # the rhs is affine in z, so m >= k + 1 nodes project it exactly
     grid = unit_grid(nx=24, nv=24)
     stencil = BarrierStencil.build(grid, STEP)
-    rng = np.random.default_rng(3)
-    field = rng.standard_normal((24, 24, 4)) * np.exp(
-        -(grid.x_centers[:, None, None] ** 2) - (grid.v_centers[None, :, None] ** 2)
+    assert stencil.static_truncations > 0
+    space = ChaosSpace.build(5, m)
+    field = np.random.default_rng(3).standard_normal((24, 24, 6))
+    got_diag, ref_diag = {}, {}
+    got = rhs_nodal(
+        field, grid, stencil, galerkin_matrix(STEP.force, space), 0.1,
+        vflux_variant=vflux, diagnostics=got_diag,
     )
-    field[:, :, 3] = 0.0
-    small = galerkin_rhs(field, grid, STEP, stencil, 0.1, ChaosSpace.build(3, 4))
-    dense = galerkin_rhs(field, grid, STEP, stencil, 0.1, ChaosSpace.build(3, 64))
-    np.testing.assert_allclose(small, dense, atol=1e-10)
+    ref = evaluate_step_project(field, grid, STEP, stencil, 0.1, space, vflux, ref_diag)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert got_diag["truncation_events"] == ref_diag["truncation_events"] > 0
+
+
+def test_order1_rk2_solve_in_coefficient_space_matches_evaluate_step_project():
+    grid = unit_grid(nx=40, nv=40)
+    gaussian = lambda x, v: np.exp(-(x * x + v * v))
+    run = liouville_solve_gpc(grid, STEP, 4, 0.02, integrator="rk2", profile=gaussian)
+    space = ChaosSpace.build(4)
+    stencil = BarrierStencil.build(grid, STEP)
+    diag = {"truncation_events": 0}
+    rhs = lambda w: evaluate_step_project(
+        w, grid, STEP, stencil, STEP.max_force, space, "product", diag
+    )
+    field = deterministic_coeffs(gaussian(grid.x_centers[:, None], grid.v_centers[None, :]), 4)
+    for _ in range(run.diagnostics["steps"]):
+        field = advance(field, grid.dt, rhs, "rk2")
+    assert run.diagnostics["steps"] == 10
+    assert np.max(np.abs(run.field - field)) <= 1e-13 * np.max(np.abs(field))
+    assert run.diagnostics["truncation_events"] == diag["truncation_events"] > 0
 
 
 # --- full solves ---
