@@ -7,7 +7,7 @@ barrier.  Nodal (collocation and deterministic) reference solvers, metrics,
 convergence sweeps, and a CLI harness round out the package.
 """
 
-from .baselines import convection_solve_nodal, deterministic_liouville
+from .baselines import deterministic_liouville
 from .config import (
     MODES,
     PRESETS,
@@ -26,6 +26,7 @@ from .convection import (
     InterfaceCoefficient,
     build_lambda_matrices,
     convection_errors,
+    convection_solve_nodal,
     run_convection,
 )
 from .errors import ConfigurationError, DivergenceError

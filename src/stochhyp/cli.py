@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baselines import convection_solve_nodal
 from .config import (
     PRESETS,
     ExperimentConfig,
@@ -30,7 +29,7 @@ from .config import (
     reads,
     render_config,
 )
-from .convection import convection_errors, run_convection
+from .convection import convection_errors, convection_solve_nodal, run_convection
 from .errors import ConfigurationError, DivergenceError
 from .gpc import QuadratureRule, gauss_rule
 from .liouville import liouville_solve_gpc, liouville_solve_nodal
@@ -119,9 +118,9 @@ class _Problem(NamedTuple):
     lead: dict  # output coordinate columns, one entry per cell
     grid_entries: dict  # grid spacings that run.txt reports
     cell: float  # cell measure of the l1 norms
-    chaos: Callable  # (k, quad_count=None) -> (coefficients, moments, diagnostics)
+    chaos: Callable  # (k, quad_count=None) -> (coefficients, diagnostics)
     nodal: Callable  # (z_nodes) -> (samples, nodes on the last axis, diagnostics)
-    errors: Callable | None  # (moments, values, rule) -> errors.csv columns
+    errors: Callable | None  # (values, rule) -> errors.csv columns
 
 
 def _problem(config: ExperimentConfig) -> _Problem:
@@ -130,20 +129,16 @@ def _problem(config: ExperimentConfig) -> _Problem:
     if config.problem == "convection":
         coef, grid = convection_parts(config)
         scheme = _convection_options(config)
-
-        def chaos(k, quad_count=None):
-            run = run_convection(coef, grid, k, t_final, quad_count=quad_count, **scheme)
-            return run.coeffs, run.moments, run.diagnostics
-
         return _Problem(
             {"x": grid.centers},
             {"dx": grid.dx, "interface_shift": grid.shift},
             grid.dx,
-            chaos,
+            lambda k, quad_count=None: run_convection(
+                coef, grid, k, t_final, quad_count=quad_count, **scheme
+            ),
             lambda z_nodes: convection_solve_nodal(coef, grid, z_nodes, t_final, **scheme),
-            lambda moments, values, rule: convection_errors(
-                coef, grid, config.profile, t_final, moments, values, rule,
-                config.mode == "deterministic",
+            lambda values, rule: convection_errors(
+                coef, grid, config.profile, t_final, values, rule, config.mode == "deterministic"
             ),
         )
 
@@ -156,21 +151,14 @@ def _problem(config: ExperimentConfig) -> _Problem:
         kind=config.limiter,
         vflux_variant=config.vflux,
     )
-
-    def chaos(k, quad_count=None):
-        run = liouville_solve_gpc(grid, barrier, k, t_final, quad_count=quad_count, **scheme)
-        return run.field, run.moments, run.diagnostics
-
-    def nodal(z_nodes):
-        run = liouville_solve_nodal(grid, barrier, z_nodes, t_final, **scheme)
-        return run.field, run.diagnostics
-
     return _Problem(
         {"x": np.repeat(grid.x_centers, grid.nv), "v": np.tile(grid.v_centers, grid.nx)},
         {"dx": grid.dx, "dv": grid.dv},
         grid.dx * grid.dv,
-        chaos,
-        nodal,
+        lambda k, quad_count=None: liouville_solve_gpc(
+            grid, barrier, k, t_final, quad_count=quad_count, **scheme
+        ),
+        lambda z_nodes: liouville_solve_nodal(grid, barrier, z_nodes, t_final, **scheme),
         None,
     )
 
@@ -179,23 +167,22 @@ def _run(config: ExperimentConfig, out: Path) -> dict:
     problem = _problem(config)
     if config.mode == "gpc_sg":
         rule = None
-        values, moments, diag = problem.chaos(config.k, config.m)
+        values, diag = problem.chaos(config.k, config.m)
         value_header = ["c%d" % j for j in range(config.k + 1)]
     elif config.mode == "collocation":
         rule = gauss_rule(config.m)
         values, diag = problem.nodal(rule.nodes)
-        moments = moments_from_samples(values, rule)
         value_header = ["node%d" % j for j in range(rule.count)]
     else:
         # one sample of weight one: the moments are the value and zero
         rule = QuadratureRule(np.array([config.z]), np.ones(1))
         values, diag = problem.nodal(rule.nodes)
-        moments = moments_from_samples(values, rule)
         value_header = ["value"]
 
+    moments = MomentField.from_coeffs(values) if rule is None else moments_from_samples(values, rule)
     _write_fields(out, problem.lead, moments, value_header, values)
     if problem.errors is not None:
-        errors = problem.errors(moments, values, rule)
+        errors = problem.errors(values, rule)
         _write_csv(out / "errors.csv", list(errors), [list(errors.values())])
     summary = dict(_config_echo(config), **problem.grid_entries)
     summary.update((key, diag[key]) for key in _DIAGNOSTICS if key in diag)

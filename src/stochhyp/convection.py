@@ -3,14 +3,15 @@
 The wave speed is piecewise constant in x with a jump at x = 0 and a linear
 perturbation in the random variable z.  The fully discrete immersed upwind
 scheme is projected onto the orthonormal Legendre basis, so the unknowns are
-per-cell coefficient vectors.  The module also carries the exact solution by
-characteristics and quadrature oracles for its moments.
+per-cell coefficient vectors; its nodal twin marches the same scheme at fixed
+samples of z.  The module also carries the exact solution by characteristics
+and quadrature oracles for its moments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .gpc import (
     galerkin_matrix,
     gauss_rule,
     project,
+    times,
 )
 from .limiters import kind_problems, limited_slopes
 from .march import march, time_steps
@@ -42,13 +44,12 @@ __all__ = [
     "AnalyticConvectionSolution",
     "ConvectionRun",
     "build_lambda_matrices",
-    "check_cfl",
     "scheme_problems",
     "step_first_order",
-    "step_first_order_nodal",
     "step_second_order",
     "step_second_order_nodal",
     "run_convection",
+    "convection_solve_nodal",
     "convection_errors",
 ]
 
@@ -127,27 +128,10 @@ class ConvectionGrid:
         return self.dt / self.dx
 
 
-def _cfl_problems(coef: InterfaceCoefficient, grid: ConvectionGrid) -> list[tuple[None, str]]:
-    problems = []
-    for label, side in (("left", coef.left), ("right", coef.right)):
-        worst = max(grid.ratio * side(-1.0), grid.ratio * side(1.0))
-        if worst > 1.0:
-            problems.append(
-                (None, "CFL violated on the %s side: (dt/dx)*c reaches %.6g > 1" % (label, worst))
-            )
-    return problems
-
-
-def check_cfl(coef: InterfaceCoefficient, grid: ConvectionGrid) -> None:
-    """Require (dt/dx)*c(x, z) in [0, 1]; c is linear in z so z = +-1 suffice."""
-    reject(_cfl_problems(coef, grid))
-
-
 def build_lambda_matrices(
     coef: InterfaceCoefficient, grid: ConvectionGrid, space: ChaosSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin matrices of (dt/dx)*c(x, z) on each side of the jump."""
-    check_cfl(coef, grid)
     lam_minus = grid.ratio * galerkin_matrix(coef.left, space)
     lam_plus = grid.ratio * galerkin_matrix(coef.right, space)
     return lam_minus, lam_plus
@@ -170,28 +154,19 @@ def step_first_order(
     lam_plus: np.ndarray,
     interface_index: int,
 ) -> np.ndarray:
-    """One step of the coefficient-space immersed upwind scheme.
+    """One step of the immersed upwind scheme on chaos coefficients or nodal samples.
 
-    Left of the jump the update is (I - L-)U_i + L-_ U_{i-1}; the first cell on
-    the right couples to the left with the left-side matrix so the discrete
-    flux is continuous across the interface; cells further right use the
-    right-side matrix throughout.  Inflow ghosts are zero (compact support).
+    lam_* act on the last axis of the field (`gpc.times`): the Galerkin matrices
+    of (dt/dx)*c for coefficients, or the per-node speeds for samples.  Left of
+    the jump the update is (I - L-)U_i + L-_ U_{i-1}; the first cell on the
+    right couples to the left with the left-side operator so the discrete flux
+    is continuous across the interface; cells further right use the right-side
+    operator throughout.  Inflow ghosts are zero (compact support).
     """
     field = np.asarray(field, dtype=float)
     if field.ndim != 2 or field.shape[1] != lam_minus.shape[0]:
-        raise ValueError("field shape does not match the Galerkin matrices")
-    return _three_branch(field, field @ lam_minus, field @ lam_plus, interface_index)
-
-
-def step_first_order_nodal(
-    field: np.ndarray,
-    lam_minus: np.ndarray,
-    lam_plus: np.ndarray,
-    interface_index: int,
-) -> np.ndarray:
-    """First-order step for nodal samples; lam_* are per-node scalars."""
-    field = np.asarray(field, dtype=float)
-    return _three_branch(field, field * lam_minus, field * lam_plus, interface_index)
+        raise ValueError("field shape does not match the speed operators")
+    return _three_branch(field, times(field, lam_minus), times(field, lam_plus), interface_index)
 
 
 def step_second_order_nodal(
@@ -255,7 +230,11 @@ PROFILES = {
 
 
 def scheme_problems(order, profile, kind, z_nodes=(), coef=None, grid=None) -> list:
-    """Problems with a convection solve's scheme settings; CFL when `coef` and `grid` are given."""
+    """Problems with a convection solve's scheme settings.
+
+    With `coef` and `grid` given, the CFL rule (dt/dx)*c(x, z) <= 1 is checked;
+    c is linear in z, so z = +-1 suffice.
+    """
     problems = kind_problems(kind)
     if order not in (1, 2):
         problems.append(("order", "order must be 1 or 2"))
@@ -264,7 +243,11 @@ def scheme_problems(order, profile, kind, z_nodes=(), coef=None, grid=None) -> l
     if not np.all(np.abs(z_nodes) <= 1.0):
         problems.append(("z", "samples must lie in [-1, 1]"))
     if coef is not None and grid is not None:
-        problems += _cfl_problems(coef, grid)
+        for label, side in (("left", coef.left), ("right", coef.right)):
+            worst = max(grid.ratio * side(-1.0), grid.ratio * side(1.0))
+            if worst > 1.0:
+                message = "CFL violated on the %s side: (dt/dx)*c reaches %.6g > 1" % (label, worst)
+                problems.append((None, message))
     return problems
 
 
@@ -339,13 +322,32 @@ class AnalyticConvectionSolution:
         return MomentField(mean, second)
 
 
-@dataclass(frozen=True)
-class ConvectionRun:
-    """Final coefficients, their moments, and run diagnostics."""
+class ConvectionRun(NamedTuple):
+    """Final chaos coefficients plus run diagnostics."""
 
     coeffs: np.ndarray
-    moments: MomentField
     diagnostics: dict
+
+
+def _set_up_solve(
+    coef: InterfaceCoefficient,
+    grid: ConvectionGrid,
+    t_final: float,
+    order: int,
+    profile: str,
+    kind: str,
+    z_nodes=(),
+    problems=(),
+) -> tuple[int, np.ndarray]:
+    """Validate a solve with the caller's `problems`; return steps and initial values.
+
+    Problems are listed in config's order: step count, the caller's, the scheme's.
+    """
+    steps, found = time_steps(t_final, grid.dt)
+    found += problems
+    found += scheme_problems(order, profile, kind, z_nodes, coef, grid)
+    reject(found)
+    return steps, PROFILES[profile].func(grid.centers)
 
 
 def run_convection(
@@ -358,13 +360,11 @@ def run_convection(
     quad_count: int | None = None,
     kind: str = "arctan",
 ) -> ConvectionRun:
-    """March the gPC-SG scheme to t_final; return coefficients and moments."""
-    steps, problems = time_steps(t_final, grid.dt)
-    problems += chaos_problems(k, quad_count)
-    reject(problems + scheme_problems(order, profile, kind, coef=coef, grid=grid))
-
+    """March the gPC-SG scheme to t_final; coefficients shape (cells, k + 1)."""
+    steps, values = _set_up_solve(
+        coef, grid, t_final, order, profile, kind, problems=chaos_problems(k, quad_count)
+    )
     space = ChaosSpace.build(k, quad_count)
-    prof = PROFILES[profile]
 
     if order == 1:
         lam_minus, lam_plus = build_lambda_matrices(coef, grid, space)
@@ -375,10 +375,34 @@ def run_convection(
         step = lambda f: step_second_order(f, lam_minus, lam_plus, grid, space, kind)
     mass = lambda f: float(np.sum(f[:, 0]) * grid.dx)
     field, diagnostics = march(
-        deterministic_coeffs(prof.func(grid.centers), k), step, steps, mass, "cell %d, mode %d"
+        deterministic_coeffs(values, k), step, steps, mass, "cell %d, mode %d"
     )
     diagnostics["interface_shift"] = grid.shift
-    return ConvectionRun(field, MomentField.from_coeffs(field), diagnostics)
+    return ConvectionRun(field, diagnostics)
+
+
+def convection_solve_nodal(
+    coef: InterfaceCoefficient,
+    grid: ConvectionGrid,
+    z_nodes: np.ndarray,
+    t_final: float,
+    order: int = 1,
+    profile: str = "cos_bump",
+    kind: str = "arctan",
+) -> tuple[np.ndarray, dict]:
+    """March the deterministic scheme at fixed z samples; shape (cells, nodes)."""
+    z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
+    steps, values = _set_up_solve(coef, grid, t_final, order, profile, kind, z_nodes)
+
+    lam_m, lam_p = grid.ratio * coef.left(z_nodes), grid.ratio * coef.right(z_nodes)
+    if order == 1:
+        step = lambda w: step_first_order(w, lam_m, lam_p, grid.interface_index)
+    else:
+        step = lambda w: step_second_order_nodal(w, lam_m, lam_p, grid.dx, grid.interface_index, kind)
+    mass = lambda w: w.sum(axis=0) * grid.dx
+    return march(
+        np.repeat(values[:, None], z_nodes.size, axis=1), step, steps, mass, "cell %d, node %d"
+    )
 
 
 def convection_errors(
@@ -386,25 +410,29 @@ def convection_errors(
     grid: ConvectionGrid,
     profile: str,
     t_final: float,
-    moments: MomentField,
     values: np.ndarray,
     rule: QuadratureRule | None = None,
     deterministic: bool = False,
 ) -> dict:
     """l1 errors of the moments and the mixed distance against the exact solution.
 
-    `values` are the samples of a nodal run at `rule`; with no rule they are
-    chaos coefficients, sampled through a space of `error_quadrature_size` nodes.
-    A deterministic run, one sample of weight one, is compared with the exact
-    solution at its z; every other run with the exact moments over z.
+    `values` are the samples of a nodal run at `rule`, whose moments are their
+    quadrature moments; with no rule they are chaos coefficients, whose moments
+    are read off the modes and which are sampled through a space of
+    `error_quadrature_size` nodes for the mixed distance.  A deterministic run,
+    one sample of weight one, is compared with the exact solution at its z;
+    every other run with the exact moments over z.
     """
     exact = AnalyticConvectionSolution(coef, PROFILES[profile])
     x = grid.centers
     if rule is None:
+        moments = MomentField.from_coeffs(values)
         k = values.shape[-1] - 1
         space = ChaosSpace.build(k, error_quadrature_size(k))
         rule = space.rule
         values = values @ space.table
+    else:
+        moments = moments_from_samples(values, rule)
     exact_nodal = exact.value(x[:, None], t_final, rule.nodes[None, :])
     if deterministic:
         exact_moments = moments_from_samples(exact_nodal, rule)

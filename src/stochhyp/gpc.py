@@ -177,6 +177,11 @@ def galerkin_matrix(
     return 0.5 * (mat + mat.T)
 
 
+def times(values: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """An operator on the chaos axis (the last): a Galerkin matrix, or a per-node vector."""
+    return values @ op if op.ndim == 2 else values * op
+
+
 def project(samples: np.ndarray, space: ChaosSpace) -> np.ndarray:
     """Coefficients of the degree-max_order expansion from samples at the space's nodes."""
     samples = np.asarray(samples, dtype=float)

@@ -12,15 +12,14 @@ through its Galerkin matrix; order 2 steps at quadrature nodes and projects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, reject
-from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, galerkin_matrix, project
+from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, galerkin_matrix, project, times
 from .limiters import kind_problems, limited_slopes
 from .march import march, time_steps
-from .metrics import MomentField
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -30,7 +29,6 @@ __all__ = [
     "PHASE_PROFILES",
     "LiouvilleRun",
     "VFLUX_VARIANTS",
-    "check_cfl",
     "scheme_problems",
     "resolve_interface",
     "rhs_nodal",
@@ -254,20 +252,15 @@ class BarrierStencil:
         return cls(right_side, left_side, trunc)
 
 
-def _times_force(w: np.ndarray, force: np.ndarray) -> np.ndarray:
-    # on the last axis: a per-node vector, or the symmetric Galerkin matrix
-    return w @ force if force.ndim == 2 else w * force
-
-
 def _vflux_product(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> np.ndarray:
     # central flux for the v-advection term -force*u, in conservative form;
     # zero-gradient ghosts collapse the boundary flux to -force*u_boundary
     flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
-    flux[:, 1:-1] = _times_force(u[:, :-1] + u[:, 1:], -0.5 * force) - (0.5 * alpha) * (
+    flux[:, 1:-1] = times(u[:, :-1] + u[:, 1:], -0.5 * force) - (0.5 * alpha) * (
         u[:, 1:] - u[:, :-1]
     )
-    flux[:, 0] = _times_force(u[:, 0], -force)
-    flux[:, -1] = _times_force(u[:, -1], -force)
+    flux[:, 0] = times(u[:, 0], -force)
+    flux[:, -1] = times(u[:, -1], -force)
     return -(flux[:, 1:] - flux[:, :-1]) / dv
 
 
@@ -277,12 +270,12 @@ def _vflux_ratio(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> n
     out = np.zeros_like(u)
     out[:, 1:-1] = (
         (0.5 * alpha) * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2])
-        - _times_force(u[:, 2:] - u[:, :-2], 0.5 * force)
+        - times(u[:, 2:] - u[:, :-2], 0.5 * force)
     ) / dv
     diff = u[:, 1] - u[:, 0]
-    out[:, 0] = ((0.5 * alpha) * diff - _times_force(diff, 0.5 * force)) / dv
+    out[:, 0] = ((0.5 * alpha) * diff - times(diff, 0.5 * force)) / dv
     out[:, -1] = (
-        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - _times_force(u[:, -1] - u[:, -2], 0.5 * force)
+        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - times(u[:, -1] - u[:, -2], 0.5 * force)
     ) / dv
     return out
 
@@ -389,26 +382,11 @@ PHASE_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class LiouvilleRun:
+class LiouvilleRun(NamedTuple):
     """Final field (nodal values or gPC coefficients) plus diagnostics."""
 
     field: np.ndarray
-    moments: MomentField | None
     diagnostics: dict
-
-
-def _cfl_problems(grid: PhaseSpaceGrid, alpha: float) -> list[tuple[None, str]]:
-    vmax = float(grid.v_centers[-1])
-    cfl = grid.dt * (vmax / grid.dx + alpha / grid.dv)
-    if cfl > 1.0 + 1e-12:
-        return [(None, "CFL number dt*(max|v|/dx + alpha/dv) = %.6g exceeds 1" % cfl)]
-    return []
-
-
-def check_cfl(grid: PhaseSpaceGrid, alpha: float) -> None:
-    """Require dt*(max|v|/dx + alpha/dv) <= 1 for the split transport fluxes."""
-    reject(_cfl_problems(grid, alpha))
 
 
 def scheme_problems(
@@ -417,7 +395,7 @@ def scheme_problems(
     """Problems with a phase-space solve's scheme settings.
 
     The LF viscosity alpha is checked when `barrier` and `alpha` are given,
-    the CFL bound when `grid` and `alpha` are.
+    the CFL bound dt*(max|v|/dx + alpha/dv) <= 1 when `grid` and `alpha` are.
     """
     problems = kind_problems(kind)
     if order not in (1, 2):
@@ -438,7 +416,9 @@ def scheme_problems(
         if barrier is not None and not alpha >= barrier.max_force:
             problems.append(("alpha", "LF viscosity alpha must be >= the largest |DV|"))
         if grid is not None:
-            problems += _cfl_problems(grid, alpha)
+            cfl = grid.dt * (grid.v_centers[-1] / grid.dx + alpha / grid.dv)
+            if cfl > 1.0 + 1e-12:
+                problems.append((None, "CFL number dt*(max|v|/dx + alpha/dv) = %.6g exceeds 1" % cfl))
     return problems
 
 
@@ -455,14 +435,18 @@ def _set_up_solve(
     z_nodes=(),
     problems=(),
 ) -> tuple[int, float, BarrierStencil, np.ndarray]:
-    """Validate a solve with the caller's `problems`; return steps, alpha, stencil, values."""
+    """Validate a solve with the caller's `problems`; return steps, alpha, stencil, values.
+
+    Problems are listed in config's order: step count, the caller's, the scheme's.
+    """
     if alpha is None:
         alpha = barrier.max_force
     steps, found = time_steps(t_final, grid.dt)
+    found += problems
     found += scheme_problems(
         order, integrator, profile, kind, vflux_variant, z_nodes, grid, barrier, alpha
     )
-    reject([*problems, *found])
+    reject(found)
     init = profile if callable(profile) else PHASE_PROFILES[profile]
     values = init(grid.x_centers[:, None], grid.v_centers[None, :])
     return steps, alpha, BarrierStencil.build(grid, barrier), values
@@ -498,7 +482,7 @@ def liouville_solve_nodal(
     )
     diagnostics["stencil_truncations"] = stencil.static_truncations
     diagnostics["truncation_events"] = diag["truncation_events"]
-    return LiouvilleRun(u, None, diagnostics)
+    return LiouvilleRun(u, diagnostics)
 
 
 def galerkin_rhs(
@@ -552,4 +536,4 @@ def liouville_solve_gpc(
     )
     diagnostics["stencil_truncations"] = stencil.static_truncations
     diagnostics["truncation_events"] = diag["truncation_events"]
-    return LiouvilleRun(field, MomentField.from_coeffs(field), diagnostics)
+    return LiouvilleRun(field, diagnostics)

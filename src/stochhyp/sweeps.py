@@ -135,7 +135,7 @@ def mesh_error_sweep(
     def one(dx: float) -> MeshSweepRow:
         grid = ConvectionGrid.from_spacing(a, b, dx, dt_ratio * dx)
         run = run_convection(coef, grid, k, t_final, order=order, profile=profile, kind=kind)
-        errors = convection_errors(coef, grid, profile, t_final, run.moments, run.coeffs)
+        errors = convection_errors(coef, grid, profile, t_final, run.coeffs)
         return MeshSweepRow(grid.dx, grid.dt, **errors)
 
     return _map_ordered(one, dx_list, threads)

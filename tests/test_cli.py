@@ -8,6 +8,7 @@ from stochhyp import (
     AnalyticConvectionSolution,
     ConvectionGrid,
     InterfaceCoefficient,
+    MomentField,
     OrthonormalBasis,
     PhaseSpaceGrid,
     PotentialBarrier,
@@ -119,7 +120,7 @@ def test_check_reports_ok_or_fails_with_exit_2(tmp_path, capsys):
 
 
 def test_small_chaos_rule_fails_check_and_run_with_exit_2(tmp_path, capsys):
-    text = "preset = example1_order1\nt_final = 0.1\n\n[random]\nk = 6\nm = 3\n"
+    text = "preset = example1_order2\nt_final = 0.1\n\n[random]\nk = 6\nm = 3\n"
     cfg = write_config(tmp_path, text)
     assert main(["check", cfg]) == 2
     assert "line 6: quadrature size m must be >= k + 1" in capsys.readouterr().err
@@ -163,7 +164,8 @@ def test_sweep_flag_validation(tmp_path, capsys):
 
 
 def test_sweeps_reject_a_quadrature_size(tmp_path, capsys):
-    cfg = write_config(tmp_path, CONV_SMALL + "m = 4\n")
+    # m acts on a gpc_sg run at order 2 only
+    cfg = write_config(tmp_path, "order = 2\n" + CONV_SMALL + "m = 4\n")
     assert main(["check", cfg]) == 0
     assert main(["sweep", cfg, "--k", "0,2", "--ref", "4"]) == 2
     assert main(["sweep", cfg, "--dx", "0.05"]) == 2
@@ -261,10 +263,11 @@ def _convection_reference(mode):
     options = dict(order=2, kind="tanh")
     if mode == "gpc_sg":
         run = run_convection(coef, grid, 2, 0.1, **options)
+        moments = MomentField.from_coeffs(run.coeffs)
         rule = gauss_rule(error_quadrature_size(2))
         samples = run.coeffs @ OrthonormalBasis(2).values(rule.nodes)
-        errors = _moment_errors(coef, grid, run.moments, samples, rule)
-        return run.coeffs, run.moments.expectation, run.moments.variance, errors
+        errors = _moment_errors(coef, grid, moments, samples, rule)
+        return run.coeffs, moments.expectation, moments.variance, errors
     if mode == "collocation":
         rule = gauss_rule(3)
         fields, _ = convection_solve_nodal(coef, grid, rule.nodes, 0.1, **options)
@@ -282,7 +285,8 @@ def _liouville_reference(mode):
     barrier = PotentialBarrier()
     if mode == "gpc_sg":
         run = liouville_solve_gpc(grid, barrier, 2, 0.05, alpha=0.2)
-        return run.field, run.moments.expectation, run.moments.variance, None
+        moments = MomentField.from_coeffs(run.field)
+        return run.field, moments.expectation, moments.variance, None
     if mode == "collocation":
         rule = gauss_rule(3)
         run = liouville_solve_nodal(grid, barrier, rule.nodes, 0.05, alpha=0.2)

@@ -10,6 +10,8 @@ from stochhyp import (
     InterfaceCoefficient,
     PhaseSpaceGrid,
     PotentialBarrier,
+    convection_solve_nodal,
+    gauss_rule,
     liouville_solve_gpc,
     run_convection,
 )
@@ -211,6 +213,11 @@ def test_rendering_leaves_out_the_other_problems_keys():
             "preset = example2_order2\n[random]\nalpha = 0.5\n",
             ["line 3: [random] alpha has no effect at order = 2"],
         ),
+        (
+            # order 1 builds only Galerkin matrices linear in z: every m >= k + 1 agrees
+            "preset = example1_order1\n[random]\nm = 42\n",
+            ["line 3: [random] m has no effect at order = 1"],
+        ),
     ],
     ids=[
         "m_and_k_deterministic",
@@ -219,6 +226,7 @@ def test_rendering_leaves_out_the_other_problems_keys():
         "limiter_order_1",
         "vflux_liouville_order_2",
         "alpha_liouville_order_2",
+        "m_gpc_sg_order_1",
     ],
 )
 def test_keys_the_mode_or_order_never_reads_are_rejected(text, expected):
@@ -232,7 +240,7 @@ def test_a_preset_switched_to_another_mode_drops_what_it_no_longer_reads():
 
 
 def test_a_chaos_rule_smaller_than_the_basis_is_reported_at_m():
-    found = violations_of("preset = example1_order1\n[random]\nk = 6\nm = 3\n")
+    found = violations_of("preset = example1_order2\n[random]\nk = 6\nm = 3\n")
     assert found == ["line 4: quadrature size m must be >= k + 1 = 7"]
 
 
@@ -269,9 +277,15 @@ def _solve_convection(k=2, t_final=0.1, dt=0.01, **options):
     return run_convection(coef, grid, k, t_final, **options)
 
 
-def _solve_liouville(**options):
+def _solve_convection_nodal(dt=0.01):
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.05, dt)
+    return convection_solve_nodal(coef, grid, gauss_rule(3).nodes, 0.1)
+
+
+def _solve_liouville(t_final=0.05, **options):
     grid = PhaseSpaceGrid(-1.0, 1.0, 1.0, 10, 10, 0.01)
-    return liouville_solve_gpc(grid, PotentialBarrier(), 2, 0.05, **options)
+    return liouville_solve_gpc(grid, PotentialBarrier(), 2, t_final, **options)
 
 
 @pytest.mark.parametrize(
@@ -290,14 +304,33 @@ def _solve_liouville(**options):
         (LIOUVILLE_BASE + "alpha = 0.01\n", lambda: _solve_liouville(alpha=0.01)),
         (CONVECTION_BASE.replace("dt = 0.01", "dt = 0.05"), lambda: _solve_convection(dt=0.05)),
         (
+            "mode = collocation\n"
+            + CONVECTION_BASE.replace("dt = 0.01", "dt = 0.05").replace("k = 2", "m = 3"),
+            lambda: _solve_convection_nodal(dt=0.05),
+        ),
+        (LIOUVILLE_BASE + "alpha = 20\n", lambda: _solve_liouville(alpha=20.0)),
+        (
             CONVECTION_BASE.replace("t_final = 0.1", "t_final = 0.105"),
             lambda: _solve_convection(t_final=0.105),
         ),
         (
-            CONVECTION_BASE.replace("k = 2", "k = 6\nm = 3"),
-            lambda: _solve_convection(k=6, quad_count=3),
+            "order = 2\n" + CONVECTION_BASE.replace("k = 2", "k = 6\nm = 3"),
+            lambda: _solve_convection(k=6, quad_count=3, order=2),
         ),
-        (LIOUVILLE_BASE + "m = 2\n", lambda: _solve_liouville(quad_count=2)),
+        (
+            "order = 2\n" + LIOUVILLE_BASE + "m = 2\n",
+            lambda: _solve_liouville(quad_count=2, order=2),
+        ),
+        (
+            "order = 2\n"
+            + CONVECTION_BASE.replace("t_final = 0.1", "t_final = 0.105")
+            .replace("k = 2", "k = 6\nm = 3"),
+            lambda: _solve_convection(k=6, quad_count=3, order=2, t_final=0.105),
+        ),
+        (
+            "order = 2\n" + LIOUVILLE_BASE.replace("t_final = 0.05", "t_final = 0.055") + "m = 2\n",
+            lambda: _solve_liouville(quad_count=2, order=2, t_final=0.055),
+        ),
     ],
     ids=[
         "order_3",
@@ -306,9 +339,13 @@ def _solve_liouville(**options):
         "order_2_rk2",
         "low_alpha",
         "cfl_breach",
+        "convection_nodal_cfl_breach",
+        "liouville_cfl_breach",
         "non_integer_steps",
         "convection_m_below_k_plus_1",
         "liouville_m_below_k_plus_1",
+        "convection_steps_and_m_in_config_order",
+        "liouville_steps_and_m_in_config_order",
     ],
 )
 def test_config_and_solver_reject_a_setting_with_the_same_message(text, solve):

@@ -16,9 +16,8 @@ from stochhyp import (
     run_convection,
 )
 from stochhyp.convection import (
-    check_cfl,
+    scheme_problems,
     step_first_order,
-    step_first_order_nodal,
     step_second_order,
     step_second_order_nodal,
 )
@@ -39,7 +38,7 @@ def node_speeds(coef, grid, space):
 
 def errors(coef, grid, run, t_final, profile="cos_bump"):
     """errors.csv columns of a chaos run against the exact solution."""
-    return convection_errors(coef, grid, profile, t_final, run.moments, run.coeffs)
+    return convection_errors(coef, grid, profile, t_final, run.coeffs)
 
 
 # --- coefficient and grid validation ---
@@ -98,9 +97,9 @@ def test_cfl_check_at_extreme_perturbation():
     # speed reaches 2.3 at the perturbation extreme: dt/dx = 0.5 puts the
     # fast side at 1.15 while the nominal speed 2 alone would still fit
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
-    with pytest.raises(ConfigurationError):
-        check_cfl(coef, small_grid(dx=0.05, dt=0.025))
-    check_cfl(coef, small_grid(dx=0.05, dt=0.02))  # 2.3 * 0.4 fits
+    cfl = lambda dt: scheme_problems(1, "cos_bump", "arctan", coef=coef, grid=small_grid(dt=dt))
+    assert cfl(0.025) == [(None, "CFL violated on the right side: (dt/dx)*c reaches 1.15 > 1")]
+    assert cfl(0.02) == []  # 2.3 * 0.4 fits
 
 
 # --- Galerkin matrices of the scheme ---
@@ -174,7 +173,7 @@ def test_speed_ratio_profile_is_stationary():
     u = np.where(grid.centers[:, None] < 0.0, 1.0, 0.5)
     lam_m = grid.ratio * coef.left(np.array([0.0]))
     lam_p = grid.ratio * coef.right(np.array([0.0]))
-    stepped = step_first_order_nodal(u, lam_m, lam_p, grid.interface_index)
+    stepped = step_first_order(u, lam_m, lam_p, grid.interface_index)
     np.testing.assert_array_equal(stepped[1:-1], u[1:-1])
 
 
@@ -193,11 +192,13 @@ def test_step_is_linear_in_the_field():
 
 
 def test_step_rejects_shape_mismatch():
+    # three modes or three nodes: a five-column field fits neither form
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(2))
-    with pytest.raises(ValueError):
-        step_first_order(np.zeros((grid.cells, 5)), lam_m, lam_p, grid.interface_index)
+    space = ChaosSpace.build(2, 3)
+    for lam_m, lam_p in (build_lambda_matrices(coef, grid, space), node_speeds(coef, grid, space)):
+        with pytest.raises(ValueError):
+            step_first_order(np.zeros((grid.cells, 5)), lam_m, lam_p, grid.interface_index)
 
 
 def test_coefficient_step_commutes_with_evaluation_on_low_degree_fields():
@@ -213,7 +214,7 @@ def test_coefficient_step_commutes_with_evaluation_on_low_degree_fields():
     zs = gauss_rule(6).nodes
     table = space.basis.values(zs)
     matrix_path = step_first_order(field, lam_m, lam_p, grid.interface_index) @ table
-    nodal_path = step_first_order_nodal(
+    nodal_path = step_first_order(
         field @ table, grid.ratio * coef.left(zs), grid.ratio * coef.right(zs), grid.interface_index
     )
     np.testing.assert_allclose(matrix_path, nodal_path, atol=1e-13)
@@ -354,7 +355,7 @@ def test_run_moments_follow_the_exact_solution():
     run = run_convection(coef, grid, 8, 1.0)
     sol = AnalyticConvectionSolution(coef, COS)
     exact = sol.moments(grid.centers, 1.0)
-    err = np.sum(np.abs(run.moments.expectation - exact.expectation)) * grid.dx
+    err = np.sum(np.abs(run.coeffs[:, 0] - exact.expectation)) * grid.dx  # mode 0 is E
     assert err < 0.15
     assert errors(coef, grid, run, 1.0)["l1_expectation"] == pytest.approx(err, rel=1e-12)
 

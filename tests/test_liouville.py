@@ -13,7 +13,7 @@ from stochhyp import (
     liouville_solve_nodal,
     resolve_interface,
 )
-from stochhyp.liouville import advance, check_cfl, rhs_nodal
+from stochhyp.liouville import advance, rhs_nodal, scheme_problems
 from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
 from stochhyp.gpc import deterministic_coeffs
 
@@ -73,10 +73,13 @@ def test_barrier_evaluation():
 
 
 def test_cfl_guard():
-    grid = unit_grid()
-    check_cfl(grid, 0.1)
-    with pytest.raises(ConfigurationError):
-        check_cfl(PhaseSpaceGrid(-2.0, 2.0, 2.0, 100, 100, 0.05), 0.1)
+    cfl = lambda grid: scheme_problems(
+        1, "euler", "quarter_disks", "arctan", "product", grid=grid, alpha=0.1
+    )
+    assert cfl(unit_grid()) == []
+    assert cfl(PhaseSpaceGrid(-2.0, 2.0, 2.0, 100, 100, 0.05)) == [
+        (None, "CFL number dt*(max|v|/dx + alpha/dv) = 2.6 exceeds 1")
+    ]
 
 
 # --- interface resolution ---
@@ -373,7 +376,7 @@ def test_gpc_moments_match_collocation_on_short_runs():
     rule = gauss_rule(12)
     col = moments_from_samples(liouville_solve_nodal(grid, STEP, rule.nodes, 0.05).field, rule)
     scale = np.max(np.abs(col.expectation))
-    dev = np.max(np.abs(gpc.moments.expectation - col.expectation))
+    dev = np.max(np.abs(gpc.field[:, :, 0] - col.expectation))  # mode 0 is E
     assert dev / scale < 1e-8
 
 
