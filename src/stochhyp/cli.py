@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -246,11 +247,6 @@ def _cmd_sweep(args) -> int:
         rows = gpc_error_sweep(
             lambda k: problem.chaos(k)[0], k_list, args.ref, problem.cell, threads=config.threads
         )
-        header = ["k", "l1_expectation", "l1_variance", "l1_coeff", "h_distance"]
-        table = [
-            [row.k, row.l1_expectation, row.l1_variance, row.l1_coeff, row.h_distance]
-            for row in rows
-        ]
     else:
         if config.problem != "convection":
             raise ConfigurationError(["mesh sweeps need the analytic solution (convection)"])
@@ -268,12 +264,9 @@ def _cmd_sweep(args) -> int:
             threads=config.threads,
             **_convection_options(config),
         )
-        header = ["dx", "dt", "l1_expectation", "l1_variance", "l1_total", "h_distance"]
-        table = [
-            [row.dx, row.dt, row.l1_expectation, row.l1_variance, row.l1_total, row.h_distance]
-            for row in rows
-        ]
 
+    header = [field.name for field in dataclasses.fields(rows[0])]
+    table = [dataclasses.astuple(row) for row in rows]
     _write_csv(out / "sweep.csv", header, table)
     loglog = [[np.log10(v) if v > 0 else -np.inf for v in row] for row in table]
     _write_csv(out / "sweep_loglog.csv", ["log10_%s" % h for h in header], loglog)

@@ -137,14 +137,18 @@ def build_lambda_matrices(
     return lam_minus, lam_plus
 
 
-def _three_branch(field: np.ndarray, gm: np.ndarray, gp: np.ndarray, i: int) -> np.ndarray:
-    # shared update skeleton; gm/gp are the lambda-weighted upwind states, and
-    # the grouping (u - own) + neighbor is kept identical across solver paths
-    out = np.empty_like(field)
-    out[: i + 1] = field[: i + 1] - gm[: i + 1]
-    out[1 : i + 1] += gm[:i]
-    out[i + 1] = (field[i + 1] - gp[i + 1]) + gm[i]
-    out[i + 2 :] = (field[i + 2 :] - gp[i + 2 :]) + gp[i + 1 : -1]
+def _upwind(
+    field: np.ndarray, states: np.ndarray, lam_minus: np.ndarray, lam_plus: np.ndarray, i: int
+) -> np.ndarray:
+    # g[j] is the flux through the right edge of cell j: the upwind cell's state
+    # times the speed on that cell's side of the jump.  Keep the grouping
+    # (u_j - g_j) + g_{j-1}: the bitwise reduction identities between solver
+    # paths (acceptance criterion 10) rely on it
+    g = np.empty_like(states)
+    g[: i + 1] = times(states[: i + 1], lam_minus)
+    g[i + 1 :] = times(states[i + 1 :], lam_plus)
+    out = field - g
+    out[1:] += g[:-1]
     return out
 
 
@@ -157,16 +161,17 @@ def step_first_order(
     """One step of the immersed upwind scheme on chaos coefficients or nodal samples.
 
     lam_* act on the last axis of the field (`gpc.times`): the Galerkin matrices
-    of (dt/dx)*c for coefficients, or the per-node speeds for samples.  Left of
-    the jump the update is (I - L-)U_i + L-_ U_{i-1}; the first cell on the
-    right couples to the left with the left-side operator so the discrete flux
-    is continuous across the interface; cells further right use the right-side
-    operator throughout.  Inflow ghosts are zero (compact support).
+    of (dt/dx)*c for coefficients, or the per-node speeds for samples.  The
+    update is a flux difference, U_j - G_j + G_{j-1}, where the flux through the
+    right edge of cell j is G_j = L U_j with L = L- for cells left of the jump
+    (j <= interface_index) and L+ to its right.  The flux through the jump is
+    the left cell's, so the update conserves mass.  Inflow ghosts are zero
+    (compact support).
     """
     field = np.asarray(field, dtype=float)
     if field.ndim != 2 or field.shape[1] != lam_minus.shape[0]:
         raise ValueError("field shape does not match the speed operators")
-    return _three_branch(field, times(field, lam_minus), times(field, lam_plus), interface_index)
+    return _upwind(field, field, lam_minus, lam_plus, interface_index)
 
 
 def step_second_order_nodal(
@@ -180,7 +185,7 @@ def step_second_order_nodal(
     """Second-order nodal step: the upwind update applied to edge states."""
     field = np.asarray(field, dtype=float)
     edges = field + limited_slopes(field, dx, interface_index, kind) * (dx / 2.0)
-    return _three_branch(field, edges * lam_minus, edges * lam_plus, interface_index)
+    return _upwind(field, edges, lam_minus, lam_plus, interface_index)
 
 
 def step_second_order(
@@ -264,7 +269,7 @@ class AnalyticConvectionSolution:
         u0 = self.profile.func
         cp = self.coef.right(z)
         cm = self.coef.left(z)
-        crossed = cm / cp
+        crossed = self.coef.jump_factor(z)
         upper = u0(x - cp * t)
         middle = crossed * u0(crossed * (x - cp * t))
         lower = u0(x - cm * t)
@@ -374,11 +379,9 @@ def run_convection(
         lam_minus, lam_plus = grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
         step = lambda f: step_second_order(f, lam_minus, lam_plus, grid, space, kind)
     mass = lambda f: float(np.sum(f[:, 0]) * grid.dx)
-    field, diagnostics = march(
-        deterministic_coeffs(values, k), step, steps, mass, "cell %d, mode %d"
+    return ConvectionRun(
+        *march(deterministic_coeffs(values, k), step, steps, mass, "cell %d, mode %d")
     )
-    diagnostics["interface_shift"] = grid.shift
-    return ConvectionRun(field, diagnostics)
 
 
 def convection_solve_nodal(

@@ -54,10 +54,6 @@ class OrthonormalBasis:
     def __post_init__(self) -> None:
         reject(chaos_problems(self.max_order))
 
-    @property
-    def size(self) -> int:
-        return self.max_order + 1
-
     def values(self, z: np.ndarray) -> np.ndarray:
         """Table of P_k(z), shape (max_order+1, len(z))."""
         z = np.atleast_1d(np.asarray(z, dtype=float))

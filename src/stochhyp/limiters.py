@@ -80,14 +80,15 @@ def limited_slopes(u: np.ndarray, dx: float, interface_index: int, kind: str) ->
     non-finite values: the march scans every state its step returns.
     """
     forward, inverse = limiter_maps(kind)
-    s_l = np.zeros_like(u)
-    s_r = np.zeros_like(u)
-    s_l[1:] = (u[1:] - u[:-1]) / dx
-    s_r[:-1] = s_l[1:]
-    slopes = inverse(0.5 * (forward(s_l) + forward(s_r)))
+    # s[j] is the difference across the left edge of cell j; the outer edges
+    # are flat, so cell j averages s[j] and s[j + 1]
+    s = np.zeros((u.shape[0] + 1,) + u.shape[1:])
+    s[1:-1] = (u[1:] - u[:-1]) / dx
+    mapped = forward(s)
+    slopes = inverse(0.5 * (mapped[:-1] + mapped[1:]))
     i = interface_index
-    slopes[i] = s_l[i]
-    slopes[i + 1] = s_r[i + 1]
+    slopes[i] = s[i]
+    slopes[i + 1] = s[i + 2]
     slopes[0] = 0.0
     slopes[-1] = 0.0
     return slopes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stochhyp import BAP_KINDS, bap_slope, limiter_maps
+from stochhyp.limiters import limited_slopes
 
 
 def test_known_kinds():
@@ -86,3 +87,23 @@ def test_rejects_non_finite():
         bap_slope(np.nan, 1.0)
     with pytest.raises(ValueError):
         bap_slope(1.0, np.inf)
+
+
+@pytest.mark.parametrize("kind", BAP_KINDS)
+@pytest.mark.parametrize("i", [0, 4, 10], ids=["first_edge", "inner_edge", "last_edge"])
+def test_limited_slopes_cell_by_cell(kind, i):
+    # 12 cells; the jump sits on the edge between cells i and i + 1
+    rng = np.random.default_rng(17)
+    dx = 0.1
+    u = rng.standard_normal((12, 3))
+    d = np.diff(u, axis=0) / dx  # d[j]: the difference across the edge right of cell j
+    expected = np.array([bap_slope(d[j - 1], d[j], kind) for j in range(1, 11)])
+    expected = np.concatenate([np.zeros((1, 3)), expected, np.zeros((1, 3))])
+    # the interface cells take the one-sided difference that stays on their side
+    if i > 0:
+        expected[i] = d[i - 1]
+    if i + 1 < 11:
+        expected[i + 1] = d[i + 1]
+    slopes = limited_slopes(u, dx, i, kind)
+    np.testing.assert_allclose(slopes, expected, rtol=1e-14, atol=0.0)
+    assert np.all(slopes[[0, -1]] == 0.0)

@@ -4,7 +4,9 @@ Usage (from the repository root):
 
     python3 tools/snapshot_outputs.py OUT_DIR
 
-Runs `stochhyp run` on every built-in preset at t_final = 0.1, and on
+Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on five
+preset variants (`VARIANTS`: order-2 collocation and deterministic runs of
+both problems, and the `tanh` and `sqrt_rational` limiters), and on
 `example1_order1` the chaos-order sweep `--k 2..8 --ref 12` and the mesh
 sweep `--dx 0.02,0.01,0.005`, each into its own subdirectory of OUT_DIR,
 which must not exist yet.  The package is imported from the `src/` of the
@@ -28,6 +30,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from stochhyp import cli  # noqa: E402
 from stochhyp.config import PRESETS  # noqa: E402
 
+# name -> (preset, config lines after it); these reach the order-2 nodal step
+# outside gPC and the limiter maps that no preset uses
+VARIANTS = {
+    "convection_order2_collocation": ("example1_collocation", "order = 2\n[random]\nm = 6\n"),
+    "convection_order2_deterministic": (
+        "example1_order1",
+        "mode = deterministic\norder = 2\nlimiter = sqrt_rational\n[random]\nz = 0.3\n",
+    ),
+    "convection_order2_tanh": ("example1_order2", "limiter = tanh\n"),
+    "liouville_order2_collocation": ("example2_collocation", "order = 2\n[random]\nm = 5\n"),
+    "liouville_order2_deterministic": ("example2_deterministic", "order = 2\nlimiter = tanh\n"),
+}
+
 SWEEPS = {
     "sweep_k": ["--k", "2..8", "--ref", "12"],
     "sweep_dx": ["--dx", "0.02,0.01,0.005"],
@@ -38,6 +53,8 @@ def commands():
     """(output name, argv after the config path, config text) of every command."""
     for name in PRESETS:
         yield name, ["run"], "preset = %s\nt_final = 0.1\n" % name
+    for name, (preset, lines) in VARIANTS.items():
+        yield name, ["run"], "preset = %s\nt_final = 0.1\n%s" % (preset, lines)
     for name, flags in SWEEPS.items():
         yield name, ["sweep", *flags], "preset = example1_order1\n"
 
