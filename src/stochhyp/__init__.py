@@ -49,7 +49,6 @@ from .liouville import (
     PotentialBarrier,
     liouville_solve_gpc,
     liouville_solve_nodal,
-    resolve_interface,
 )
 from .metrics import MomentField, h_norm, l1_norm, moments_from_samples
 from .sweeps import GpcSweepRow, MeshSweepRow, gpc_error_sweep, mesh_error_sweep

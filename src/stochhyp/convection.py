@@ -223,14 +223,13 @@ def _gaussian(x):
 class InitialProfile:
     """Initial datum u0 with its support interval when it stops being smooth."""
 
-    name: str
     func: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float] | None
 
 
 PROFILES = {
-    "cos_bump": InitialProfile("cos_bump", _cos_bump, (-1.0, 3.0)),
-    "gaussian": InitialProfile("gaussian", _gaussian, None),
+    "cos_bump": InitialProfile(_cos_bump, (-1.0, 3.0)),
+    "gaussian": InitialProfile(_gaussian, None),
 }
 
 

@@ -24,13 +24,11 @@ from .march import march, time_steps
 __all__ = [
     "PhaseSpaceGrid",
     "PotentialBarrier",
-    "StencilEntry",
     "BarrierStencil",
     "PHASE_PROFILES",
     "LiouvilleRun",
     "VFLUX_VARIANTS",
     "scheme_problems",
-    "resolve_interface",
     "rhs_nodal",
     "galerkin_rhs",
     "advance",
@@ -96,7 +94,8 @@ class PhaseSpaceGrid:
         pos = (np.arange(self.nv // 2) + 0.5) * self.dv
         return np.concatenate([-pos[::-1], pos])
 
-    def mirror_row(self, j: int) -> int:
+    def mirror_row(self, j):
+        """Row, or array of rows, whose velocity is -v[j]."""
         return self.nv - 1 - j
 
 
@@ -133,58 +132,6 @@ class PotentialBarrier:
 
 
 @dataclass(frozen=True)
-class StencilEntry:
-    """Where one ghost row at the barrier edge draws its value from."""
-
-    branch: str
-    partner_speed: float
-    k: int
-    c1: float
-    c2: float
-    truncated: bool = False
-
-
-def resolve_interface(
-    v_j: float, v_minus: float, v_plus: float, grid: PhaseSpaceGrid
-) -> StencilEntry:
-    """Trace one velocity row through the potential step at x = 0.
-
-    A particle at speed v_j crosses when its kinetic energy survives the
-    potential jump ahead of it (v_j > 0 moves left-to-right against
-    v_plus - v_minus, and mirrored for v_j < 0); it keeps |new speed| =
-    sqrt(v_j^2 + 2*jump).  Otherwise it reflects onto the opposite row, which
-    exists exactly on the symmetric v grid.  Transmit entries carry true
-    linear-interpolation weights: c1 on row k, c2 on row k + 1.
-    """
-    if v_j == 0.0:
-        raise ValueError("v = 0 rows never touch the barrier stencil")
-    centers = grid.v_centers
-    if v_j > 0.0:
-        disc = v_j * v_j + 2.0 * (v_minus - v_plus)
-    else:
-        disc = v_j * v_j + 2.0 * (v_plus - v_minus)
-    if disc > 0.0:
-        # no jump keeps the row exactly, with no roundoff from the sqrt
-        speed = abs(v_j) if v_minus == v_plus else float(np.sqrt(disc))
-        target = speed if v_j > 0.0 else -speed
-        k = int(np.searchsorted(centers, target, side="right")) - 1
-        if k < 0:
-            return StencilEntry("transmit", target, 0, 1.0, 0.0, True)
-        if k >= grid.nv - 1 and target > centers[-1]:
-            return StencilEntry("transmit", target, grid.nv - 1, 1.0, 0.0, True)
-        if target == centers[k]:
-            return StencilEntry("transmit", target, k, 1.0, 0.0)
-        dv = grid.dv
-        c1 = (centers[k + 1] - target) / dv
-        c2 = (target - centers[k]) / dv
-        return StencilEntry("transmit", target, k, c1, c2)
-    j = int(np.searchsorted(centers, v_j))
-    if j >= grid.nv or centers[j] != v_j:
-        raise ValueError("reflection requires v_j to be a grid row")
-    return StencilEntry("reflect", -v_j, grid.mirror_row(j), 1.0, 0.0)
-
-
-@dataclass(frozen=True)
 class _StencilSide:
     """Vectorized gather data for the ghost rows on one side of the barrier."""
 
@@ -196,6 +143,36 @@ class _StencilSide:
     c2: np.ndarray
     mirror: np.ndarray
     truncated: np.ndarray
+
+    @classmethod
+    def trace(
+        cls, grid: PhaseSpaceGrid, rows: np.ndarray, v_minus: float, v_plus: float
+    ) -> "_StencilSide":
+        """Trace velocity rows through the potential step at x = 0.
+
+        A particle at speed v crosses when its kinetic energy survives the
+        potential jump ahead of it (v > 0 moves left-to-right against
+        v_plus - v_minus, and mirrored for v < 0); it keeps |new speed| =
+        sqrt(v^2 + 2*jump).  Otherwise it reflects onto the opposite row, which
+        exists exactly on the symmetric v grid.  Transmitted rows carry true
+        linear-interpolation weights: c1 on row k, c2 on row k1 = k + 1; a
+        speed past the outer rows is truncated onto the nearest one.  k, k1,
+        c1 and c2 of reflected rows are never read.
+        """
+        centers = grid.v_centers
+        v = centers[rows]
+        disc = v * v + 2.0 * np.where(v > 0.0, v_minus - v_plus, v_plus - v_minus)
+        transmit = disc > 0.0
+        # no jump keeps the row exactly, with no roundoff from the sqrt
+        speed = np.abs(v) if v_minus == v_plus else np.sqrt(np.where(transmit, disc, 0.0))
+        target = np.copysign(speed, v)
+        truncated = transmit & ((target < centers[0]) | (target > centers[-1]))
+        k = np.clip(np.searchsorted(centers, target, side="right") - 1, 0, grid.nv - 1)
+        k1 = np.minimum(k + 1, grid.nv - 1)
+        exact = truncated | (target == centers[k])
+        c1 = np.where(exact, 1.0, (centers[k1] - target) / grid.dv)
+        c2 = np.where(exact, 0.0, (target - centers[k]) / grid.dv)
+        return cls(rows, transmit, k, k1, c1, c2, grid.mirror_row(rows), truncated)
 
     def gather(self, partner_vals: np.ndarray, own_vals: np.ndarray) -> np.ndarray:
         """Ghost values: interpolate the partner cell or reflect the own cell."""
@@ -225,29 +202,12 @@ class BarrierStencil:
 
     @classmethod
     def build(cls, grid: PhaseSpaceGrid, barrier: PotentialBarrier) -> "BarrierStencil":
-        centers = grid.v_centers
         half = grid.nv // 2
-        sides = []
-        for rows in (np.arange(half, grid.nv), np.arange(half)):
-            entries = [
-                # arrival rows are traced backwards: swap the two potentials
-                resolve_interface(centers[j], barrier.v_right, barrier.v_left, grid)
-                for j in rows
-            ]
-            k = np.array([e.k for e in entries])
-            sides.append(
-                _StencilSide(
-                    rows=rows,
-                    transmit=np.array([e.branch == "transmit" for e in entries]),
-                    k=k,
-                    k1=np.minimum(k + 1, grid.nv - 1),
-                    c1=np.array([e.c1 for e in entries]),
-                    c2=np.array([e.c2 for e in entries]),
-                    mirror=np.array([grid.mirror_row(j) for j in rows]),
-                    truncated=np.array([e.truncated for e in entries]),
-                )
-            )
-        right_side, left_side = sides
+        # arrival rows are traced backwards: swap the two potentials
+        right_side, left_side = (
+            _StencilSide.trace(grid, rows, barrier.v_right, barrier.v_left)
+            for rows in (np.arange(half, grid.nv), np.arange(half))
+        )
         trunc = int(right_side.truncated.sum() + left_side.truncated.sum())
         return cls(right_side, left_side, trunc)
 

@@ -11,7 +11,6 @@ from stochhyp import (
     deterministic_liouville,
     liouville_solve_gpc,
     liouville_solve_nodal,
-    resolve_interface,
 )
 from stochhyp.liouville import advance, rhs_nodal, scheme_problems
 from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
@@ -85,59 +84,96 @@ def test_cfl_guard():
 # --- interface resolution ---
 
 
+def traced(grid, barrier, v):
+    """Ghost side holding the velocity row v of the built stencil, and its index there."""
+    stencil = BarrierStencil.build(grid, barrier)
+    side = stencil.right_side if v > 0.0 else stencil.left_side
+    (i,) = np.flatnonzero(grid.v_centers[side.rows] == v)
+    return side, i
+
+
+def partner_speed(grid, side, i):
+    v = grid.v_centers
+    return side.c1[i] * v[side.k[i]] + side.c2[i] * v[side.k1[i]]
+
+
 def test_resolve_no_jump_keeps_the_row():
     grid = unit_grid()
     for v in (0.5, -0.74):
-        entry = resolve_interface(v, 0.3, 0.3, grid)
-        assert entry.branch == "transmit"
-        assert entry.partner_speed == v
-        assert entry.c1 == 1.0 and entry.c2 == 0.0
-        assert grid.v_centers[entry.k] == v
-        assert not entry.truncated
+        side, i = traced(grid, PotentialBarrier(0.3, 0.3, 0.1), v)
+        assert side.transmit[i]
+        assert partner_speed(grid, side, i) == v
+        assert side.c1[i] == 1.0 and side.c2[i] == 0.0
+        assert grid.v_centers[side.k[i]] == v
+        assert not side.truncated[i]
 
 
 def test_resolve_downhill_crossing_speeds_up():
+    # traced back from the high side, a row arriving rightward goes down the step
     grid = unit_grid()
-    entry = resolve_interface(0.5, 0.2, 0.0, grid)
-    assert entry.branch == "transmit"
-    assert entry.partner_speed == pytest.approx(np.sqrt(0.65), abs=1e-15)
+    side, i = traced(grid, PotentialBarrier(0.0, 0.2, 0.1), 0.5)
+    assert side.transmit[i]
+    assert partner_speed(grid, side, i) == pytest.approx(np.sqrt(0.65), abs=1e-15)
     # true linear interpolation between the bracketing rows
-    lo, hi = grid.v_centers[entry.k], grid.v_centers[entry.k + 1]
-    assert lo <= entry.partner_speed < hi
-    assert entry.c1 + entry.c2 == pytest.approx(1.0, abs=1e-15)
-    assert 0.0 <= entry.c1 <= 1.0
-    assert entry.c1 * lo + entry.c2 * hi == pytest.approx(entry.partner_speed, abs=1e-15)
+    lo, hi = grid.v_centers[side.k[i]], grid.v_centers[side.k1[i]]
+    assert lo <= np.sqrt(0.65) < hi
+    assert side.c1[i] + side.c2[i] == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 <= side.c1[i] <= 1.0
 
 
 def test_resolve_uphill_without_energy_reflects():
     grid = unit_grid()
-    entry = resolve_interface(0.5, 0.0, 0.2, grid)
-    assert entry.branch == "reflect"
-    assert entry.partner_speed == -0.5
-    assert grid.v_centers[entry.k] == -0.5
+    side, i = traced(grid, STEP, 0.5)
+    assert not side.transmit[i]
+    assert grid.v_centers[side.mirror[i]] == -0.5
 
 
 def test_resolve_mirrored_for_leftward_rows():
     grid = unit_grid()
-    entry = resolve_interface(-0.5, 0.0, 0.2, grid)  # drops down the step leftward
-    assert entry.branch == "transmit"
-    assert entry.partner_speed == pytest.approx(-np.sqrt(0.65), abs=1e-15)
-    blocked = resolve_interface(-0.5, 0.2, 0.0, grid)  # cannot climb leftward
-    assert blocked.branch == "reflect"
-    assert blocked.partner_speed == 0.5
+    side, i = traced(grid, STEP, -0.5)  # arrives on the high side leftward
+    assert side.transmit[i]
+    assert partner_speed(grid, side, i) == pytest.approx(-np.sqrt(0.65), abs=1e-15)
+    blocked, j = traced(grid, PotentialBarrier(0.0, 0.2, 0.1), -0.5)  # cannot climb leftward
+    assert not blocked.transmit[j]
+    assert grid.v_centers[blocked.mirror[j]] == 0.5
 
 
 def test_resolve_truncates_outside_the_grid():
     grid = PhaseSpaceGrid(-1.0, 1.0, 1.0, 10, 10, 0.01)
-    entry = resolve_interface(0.9, 3.0, 0.0, grid)  # sped up past v_hi
-    assert entry.branch == "transmit"
-    assert entry.truncated
-    assert entry.k == grid.nv - 1
+    side, i = traced(grid, PotentialBarrier(0.0, 3.0, 0.1), 0.9)  # sped up past v_hi
+    assert side.transmit[i]
+    assert side.truncated[i]
+    assert side.k[i] == grid.nv - 1
 
 
-def test_resolve_rejects_zero_row():
-    with pytest.raises(ValueError):
-        resolve_interface(0.0, 0.2, 0.0, unit_grid())
+@pytest.mark.parametrize(
+    "v_left, v_right",
+    [(0.2, 0.0), (0.0, 0.2), (0.3, 0.3), (5.0, 0.0)],
+    ids=["step_down", "step_up", "no_jump", "rigid_wall"],
+)
+def test_every_row_conserves_energy_or_reflects(v_left, v_right):
+    grid = unit_grid()
+    v = grid.v_centers
+    stencil = BarrierStencil.build(grid, PotentialBarrier(v_left, v_right, 0.1))
+    # jump = the ghost side's potential minus the partner side's;
+    # right ghosts draw from the left cell, left ghosts from the right one
+    sides = ((stencil.right_side, v_right - v_left), (stencil.left_side, v_left - v_right))
+    for side, jump in sides:
+        vr = v[side.rows]
+        disc = vr * vr + 2.0 * jump
+        np.testing.assert_array_equal(side.transmit, disc > 0.0)
+        t = side.transmit
+        target = np.sign(vr[t]) * np.sqrt(disc[t])
+        outside = (target < v[0]) | (target > v[-1])
+        np.testing.assert_array_equal(side.truncated[t], outside)
+        assert not side.truncated[~t].any()
+        kept = ~outside
+        speed = partner_speed(grid, side, t)
+        np.testing.assert_allclose(speed[kept], target[kept], rtol=0.0, atol=1e-14)
+        # truncated rows read the outer row they overshoot
+        outer = np.where(target[outside] > 0.0, grid.nv - 1, 0)
+        np.testing.assert_array_equal(side.k[t][outside], outer)
+        np.testing.assert_array_equal(v[side.mirror[~t]], -vr[~t])
 
 
 def test_stencil_counts_static_truncations():

@@ -4,9 +4,10 @@ Usage (from the repository root):
 
     python3 tools/snapshot_outputs.py OUT_DIR
 
-Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on five
+Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on eight
 preset variants (`VARIANTS`: order-2 collocation and deterministic runs of
-both problems, and the `tanh` and `sqrt_rational` limiters), and on
+both problems, the `tanh` and `sqrt_rational` limiters, and `example2_order1`
+with the potential step reversed, made too high to climb, and removed), and on
 `example1_order1` the chaos-order sweep `--k 2..8 --ref 12` and the mesh
 sweep `--dx 0.02,0.01,0.005`, each into its own subdirectory of OUT_DIR,
 which must not exist yet.  The package is imported from the `src/` of the
@@ -31,7 +32,8 @@ from stochhyp import cli  # noqa: E402
 from stochhyp.config import PRESETS  # noqa: E402
 
 # name -> (preset, config lines after it); these reach the order-2 nodal step
-# outside gPC and the limiter maps that no preset uses
+# outside gPC, the limiter maps that no preset uses, and the barrier stencil's
+# truncated, all-reflecting and no-jump rows
 VARIANTS = {
     "convection_order2_collocation": ("example1_collocation", "order = 2\n[random]\nm = 6\n"),
     "convection_order2_deterministic": (
@@ -41,6 +43,9 @@ VARIANTS = {
     "convection_order2_tanh": ("example1_order2", "limiter = tanh\n"),
     "liouville_order2_collocation": ("example2_collocation", "order = 2\n[random]\nm = 5\n"),
     "liouville_order2_deterministic": ("example2_deterministic", "order = 2\nlimiter = tanh\n"),
+    "liouville_step_reversed": ("example2_order1", "[random]\nv_left = 0.0\nv_right = 0.2\n"),
+    "liouville_rigid_step": ("example2_order1", "[random]\nv_left = 5.0\n"),
+    "liouville_no_jump": ("example2_order1", "[random]\nv_right = 0.2\n"),
 }
 
 SWEEPS = {
