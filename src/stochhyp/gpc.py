@@ -8,6 +8,7 @@ approximate probabilistic expectations directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -156,6 +157,11 @@ class ChaosSpace:
     def count(self) -> int:
         return self.rule.count
 
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """The map from node samples to coefficients, shape (count, max_order+1)."""
+        return (self.table * self.rule.weights).T
+
 
 def galerkin_matrix(
     coef: Callable[[np.ndarray], np.ndarray | float], space: ChaosSpace
@@ -173,17 +179,17 @@ def galerkin_matrix(
     return 0.5 * (mat + mat.T)
 
 
-def times(values: np.ndarray, op: np.ndarray) -> np.ndarray:
+def times(values: np.ndarray, op: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """An operator on the chaos axis (the last): a Galerkin matrix, or a per-node vector."""
-    return values @ op if op.ndim == 2 else values * op
+    return np.matmul(values, op, out=out) if op.ndim == 2 else np.multiply(values, op, out=out)
 
 
-def project(samples: np.ndarray, space: ChaosSpace) -> np.ndarray:
+def project(samples: np.ndarray, space: ChaosSpace, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of the degree-max_order expansion from samples at the space's nodes."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[-1] != space.count:
         raise ValueError("sample count does not match the quadrature rule")
-    return samples @ (space.table * space.rule.weights).T
+    return np.matmul(samples, space.projector, out=out)
 
 
 def deterministic_coeffs(values: np.ndarray, k: int) -> np.ndarray:

@@ -11,16 +11,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import reject
+from .workspace import Workspace
 
 __all__ = ["BAP_KINDS", "bap_slope", "kind_problems", "limited_slopes", "limiter_maps"]
 
 
-def _sqrt_forward(x):
-    return x / np.sqrt(1.0 + x * x)
+def _sqrt_forward(x, out):
+    # x / sqrt(1 + x*x)
+    np.multiply(x, x, out=out)
+    out += 1.0
+    np.sqrt(out, out=out)
+    return np.divide(x, out, out=out)
 
 
-def _sqrt_inverse(y):
-    return y / np.sqrt(1.0 - y * y)
+def _sqrt_inverse(y, out):
+    # y / sqrt(1 - y*y)
+    np.multiply(y, y, out=out)
+    np.subtract(1.0, out, out=out)
+    np.sqrt(out, out=out)
+    return np.divide(y, out, out=out)
 
 
 # tanh and the rational map round to exactly +-1 for arguments beyond ~19 and
@@ -30,8 +39,9 @@ _UNIT_CAP = np.nextafter(1.0, 0.0)
 
 
 def _capped(inverse):
-    def apply(y):
-        return inverse(np.clip(y, -_UNIT_CAP, _UNIT_CAP))
+    def apply(y, out):
+        np.clip(y, -_UNIT_CAP, _UNIT_CAP, out=y)
+        return inverse(y, out)
 
     return apply
 
@@ -53,7 +63,11 @@ def kind_problems(kind: str) -> list[tuple[str, str]]:
 
 
 def limiter_maps(kind: str):
-    """Forward/inverse map pair for a limiter kind; ConfigurationError when unknown."""
+    """Forward/inverse map pair for a limiter kind; ConfigurationError when unknown.
+
+    Both are called as `map(values, out)`, write into `out` and return it; the
+    inverse may overwrite `values`.
+    """
     reject(kind_problems(kind))
     return _MAPS[kind]
 
@@ -65,14 +79,18 @@ def bap_slope(s_l, s_r, kind: str = "arctan"):
     s_r = np.asarray(s_r, dtype=float)
     if not (np.all(np.isfinite(s_l)) and np.all(np.isfinite(s_r))):
         raise ValueError("slopes must be finite")
-    out = inverse(0.5 * (forward(s_l) + forward(s_r)))
+    mapped_l = forward(s_l, np.empty(s_l.shape))
+    mean = np.asarray(0.5 * (mapped_l + forward(s_r, np.empty(s_r.shape))))
+    out = inverse(mean, np.empty(mean.shape))
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def limited_slopes(u: np.ndarray, dx: float, interface_index: int, kind: str) -> np.ndarray:
-    """Limited slopes along axis 0 of cell values u.
+def limited_slopes(
+    u: np.ndarray, dx: float, interface_index: int, kind: str, work: Workspace | None = None
+) -> np.ndarray:
+    """Limited slopes along axis 0 of cell values u, written into `work`.
 
     Cells `interface_index` and `interface_index + 1` sit on either side of
     the jump and take the one-sided difference that does not cross it; the
@@ -80,12 +98,19 @@ def limited_slopes(u: np.ndarray, dx: float, interface_index: int, kind: str) ->
     non-finite values: the march scans every state its step returns.
     """
     forward, inverse = limiter_maps(kind)
+    work = Workspace() if work is None else work
     # s[j] is the difference across the left edge of cell j; the outer edges
     # are flat, so cell j averages s[j] and s[j + 1]
-    s = np.zeros((u.shape[0] + 1,) + u.shape[1:])
-    s[1:-1] = (u[1:] - u[:-1]) / dx
-    mapped = forward(s)
-    slopes = inverse(0.5 * (mapped[:-1] + mapped[1:]))
+    s = work.buffer("limiter_differences", (u.shape[0] + 1,) + u.shape[1:])
+    s[0] = 0.0
+    s[-1] = 0.0
+    np.subtract(u[1:], u[:-1], out=s[1:-1])
+    s[1:-1] /= dx
+    mapped = forward(s, work.buffer("limiter_mapped", s.shape))
+    mean = np.add(mapped[:-1], mapped[1:], out=work.buffer("limiter_mean", u.shape))
+    mean *= 0.5
+    # the mapped differences are spent: the slopes take their place
+    slopes = inverse(mean, mapped[:-1])
     i = interface_index
     slopes[i] = s[i]
     slopes[i + 1] = s[i + 2]

@@ -20,6 +20,7 @@ from .errors import ConfigurationError, reject
 from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, galerkin_matrix, project, times
 from .limiters import kind_problems, limited_slopes
 from .march import march, time_steps
+from .workspace import Workspace
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -143,6 +144,7 @@ class _StencilSide:
     c2: np.ndarray
     mirror: np.ndarray
     truncated: np.ndarray
+    truncated_k: np.ndarray  # the partner rows that truncated entries read
 
     @classmethod
     def trace(
@@ -172,7 +174,7 @@ class _StencilSide:
         exact = truncated | (target == centers[k])
         c1 = np.where(exact, 1.0, (centers[k1] - target) / grid.dv)
         c2 = np.where(exact, 0.0, (target - centers[k]) / grid.dv)
-        return cls(rows, transmit, k, k1, c1, c2, grid.mirror_row(rows), truncated)
+        return cls(rows, transmit, k, k1, c1, c2, grid.mirror_row(rows), truncated, k[truncated])
 
     def gather(self, partner_vals: np.ndarray, own_vals: np.ndarray) -> np.ndarray:
         """Ghost values: interpolate the partner cell or reflect the own cell."""
@@ -182,9 +184,9 @@ class _StencilSide:
 
     def live_truncations(self, partner_vals: np.ndarray) -> int:
         """Count truncated entries that are actually fed nonzero density."""
-        if not self.truncated.any():
+        if not self.truncated_k.size:
             return 0
-        picked = partner_vals[self.k[self.truncated]]
+        picked = partner_vals[self.truncated_k]
         return int(np.count_nonzero(np.any(picked != 0.0, axis=-1)))
 
 
@@ -212,16 +214,25 @@ class BarrierStencil:
         return cls(right_side, left_side, trunc)
 
 
-def _vflux_product(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> np.ndarray:
+def _vflux_product(
+    u: np.ndarray, force: np.ndarray, alpha: float, dv: float, work: Workspace
+) -> np.ndarray:
     # central flux for the v-advection term -force*u, in conservative form;
     # zero-gradient ghosts collapse the boundary flux to -force*u_boundary
-    flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
-    flux[:, 1:-1] = times(u[:, :-1] + u[:, 1:], -0.5 * force) - (0.5 * alpha) * (
-        u[:, 1:] - u[:, :-1]
-    )
+    flux = work.buffer("vflux_edges", (u.shape[0], u.shape[1] + 1, u.shape[2]))
+    out = work.buffer("vflux", u.shape)
+    inner = flux[:, 1:-1]
+    scratch = out[:, 1:]  # free until the flux difference fills out
+    times(np.add(u[:, :-1], u[:, 1:], out=scratch), -0.5 * force, out=inner)
+    np.subtract(u[:, 1:], u[:, :-1], out=scratch)
+    scratch *= 0.5 * alpha
+    inner -= scratch
     flux[:, 0] = times(u[:, 0], -force)
     flux[:, -1] = times(u[:, -1], -force)
-    return -(flux[:, 1:] - flux[:, :-1]) / dv
+    np.subtract(flux[:, 1:], flux[:, :-1], out=out)
+    np.negative(out, out=out)
+    out /= dv
+    return out
 
 
 def _vflux_ratio(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> np.ndarray:
@@ -241,16 +252,24 @@ def _vflux_ratio(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> n
 
 
 def _vflux_second(
-    u: np.ndarray, force: np.ndarray, dt: float, dv: float
+    u: np.ndarray, force: np.ndarray, dt: float, dv: float, work: Workspace
 ) -> np.ndarray:
     # one-step second-order edge values; the dt term makes euler stepping
     # reproduce the classical second-order update exactly
-    edge = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
-    diff = u[:, 1:] - u[:, :-1]
-    edge[:, 1:-1] = 0.5 * (u[:, :-1] + u[:, 1:]) + (force * dt / (2.0 * dv)) * diff
+    edge = work.buffer("vflux_edges", (u.shape[0], u.shape[1] + 1, u.shape[2]))
+    out = work.buffer("vflux", u.shape)
+    inner = edge[:, 1:-1]
+    diff = np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:])  # out is free until the end
+    np.add(u[:, :-1], u[:, 1:], out=inner)
+    inner *= 0.5
+    diff *= force * dt / (2.0 * dv)
+    inner += diff
     edge[:, 0] = u[:, 0]
     edge[:, -1] = u[:, -1]
-    return force * (edge[:, 1:] - edge[:, :-1]) / dv
+    np.subtract(edge[:, 1:], edge[:, :-1], out=out)
+    np.multiply(force, out, out=out)
+    out /= dv
+    return out
 
 
 def rhs_nodal(
@@ -263,13 +282,16 @@ def rhs_nodal(
     kind: str = "arctan",
     vflux_variant: str = "product",
     diagnostics: dict | None = None,
+    work: Workspace | None = None,
 ) -> np.ndarray:
-    """Time derivative of u, shape (nx, nv, n); `force` acts on the last axis.
+    """Time derivative of u, shape (nx, nv, n), in `work`'s "rhs" buffer.
 
-    Nodal values take the force per node.  Order 1, linear in u, steps gPC
-    coefficients exactly with the force's Galerkin matrix; order 2 is nodal only.
+    `force` acts on the last axis.  Nodal values take the force per node.
+    Order 1, linear in u, steps gPC coefficients exactly with the force's
+    Galerkin matrix; order 2 is nodal only.
     """
-    v = grid.v_centers
+    work = Workspace() if work is None else work
+    speed = work.derived("x_speed", lambda: (-1.0 / grid.dx) * grid.v_centers)
     half = grid.nv // 2
     il = grid.barrier_edge - 1
     ir = grid.barrier_edge
@@ -277,22 +299,24 @@ def rhs_nodal(
     if order == 1:
         right_edge = left_edge = u
     else:
-        offsets = limited_slopes(u, grid.dx, il, kind) * (grid.dx / 2.0)
-        right_edge = u + offsets
-        left_edge = u - offsets
+        offsets = limited_slopes(u, grid.dx, il, kind, work)
+        offsets *= grid.dx / 2.0
+        right_edge = np.add(u, offsets, out=work.buffer("right_edge", u.shape))
+        left_edge = np.subtract(u, offsets, out=work.buffer("left_edge", u.shape))
 
+    out = work.buffer("rhs", u.shape)
     # rows moving right (upper half): upwind difference of right-edge states
     up = right_edge[:, half:]
-    dpos = np.empty_like(up)
-    dpos[1:] = up[1:] - up[:-1]
+    dpos = out[:, half:]
+    np.subtract(up[1:], up[:-1], out=dpos[1:])
     dpos[0] = up[0] - u[0, half:]
     ghost = stencil.right_side.gather(right_edge[il], left_edge[ir])
     dpos[ir] = up[ir] - ghost
 
     # rows moving left (lower half): upwind difference of left-edge states
     dn = left_edge[:, :half]
-    dneg = np.empty_like(dn)
-    dneg[:-1] = dn[1:] - dn[:-1]
+    dneg = out[:, :half]
+    np.subtract(dn[1:], dn[:-1], out=dneg[:-1])
     dneg[-1] = u[-1, :half] - dn[-1]
     ghost_l = stencil.left_side.gather(left_edge[ir], right_edge[il])
     dneg[il] = ghost_l - dn[il]
@@ -303,26 +327,46 @@ def rhs_nodal(
             + stencil.left_side.live_truncations(left_edge[ir, :])
         )
 
-    out = np.empty_like(u)
-    out[:, half:] = (-1.0 / grid.dx) * v[half:, None] * dpos
-    out[:, :half] = (-1.0 / grid.dx) * v[:half, None] * dneg
+    dpos *= speed[half:, None]
+    dneg *= speed[:half, None]
 
     if order == 2:
-        out += _vflux_second(u, force, grid.dt, grid.dv)
+        out += _vflux_second(u, force, grid.dt, grid.dv, work)
     elif vflux_variant == "product":
-        out += _vflux_product(u, force, alpha, grid.dv)
+        out += _vflux_product(u, force, alpha, grid.dv, work)
     else:
         out += _vflux_ratio(u, force, alpha, grid.dv)
     return out
 
 
-def advance(u: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray], integrator: str) -> np.ndarray:
-    """One explicit time step; rk2 averages the two Heun stage slopes."""
-    if integrator == "euler":
-        return u + dt * rhs(u)
+def advance(
+    u: np.ndarray,
+    dt: float,
+    rhs: Callable[[np.ndarray], np.ndarray],
+    integrator: str,
+    work: Workspace | None = None,
+) -> np.ndarray:
+    """One explicit time step; rk2 averages the two Heun stage slopes.
+
+    The new state goes into the one of `work`'s two state buffers that is not
+    u, so u is left as it was.  Between the rk2 stages the "rhs" buffer, into
+    which a rhs that shares `work` writes, is swapped out, so the first
+    stage's slope survives the second.
+    """
+    work = Workspace() if work is None else work
+    out = work.state_after(u)
     k1 = rhs(u)
-    k2 = rhs(u + dt * k1)
-    return u + (0.5 * dt) * (k1 + k2)
+    np.multiply(dt, k1, out=out)
+    np.add(u, out, out=out)
+    if integrator == "euler":
+        return out
+    work.swap("rhs", "first_slope")
+    k2 = rhs(out)
+    if k2 is k1:
+        raise ValueError("rhs wrote both stage slopes into one array: give advance its workspace")
+    np.add(k1, k2, out=out)
+    np.multiply(0.5 * dt, out, out=out)
+    return np.add(u, out, out=out)
 
 
 def _quarter_disks(x, v):
@@ -433,8 +477,11 @@ def liouville_solve_nodal(
 
     diag = {"truncation_events": 0}
     force = barrier.force(z_nodes)
-    rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, order, kind, vflux_variant, diag)
-    step = lambda w: advance(w, grid.dt, rhs, integrator)
+    work = Workspace()
+    rhs = lambda w: rhs_nodal(
+        w, grid, stencil, force, alpha, order, kind, vflux_variant, diag, work
+    )
+    step = lambda w: advance(w, grid.dt, rhs, integrator, work)
     mass = lambda w: w.sum(axis=(0, 1)) * (grid.dx * grid.dv)
     u, diagnostics = march(
         np.repeat(values[:, :, None], z_nodes.size, axis=2), step, steps, mass,
@@ -453,14 +500,22 @@ def galerkin_rhs(
     kind: str,
     space: ChaosSpace,
     diagnostics: dict | None = None,
+    work: Workspace | None = None,
 ) -> np.ndarray:
-    """Order-2 time derivative of the coefficient field: evaluate, step, project."""
-    nodal = rhs_nodal(
-        field @ space.table, grid, stencil, barrier.force(space.rule.nodes),
-        0.0,  # alpha: the order-2 v-flux has no LF viscosity
-        2, kind, diagnostics=diagnostics,
+    """Order-2 time derivative of the coefficient field: evaluate, step, project.
+
+    The result is in `work`'s "rhs" buffer; the nodal step works in a part.
+    """
+    work = Workspace() if work is None else work
+    nodal = np.matmul(
+        field, space.table, out=work.buffer("nodal_values", field.shape[:-1] + (space.count,))
     )
-    return project(nodal, space)
+    rates = rhs_nodal(
+        nodal, grid, stencil, work.derived("force", lambda: barrier.force(space.rule.nodes)),
+        0.0,  # alpha: the order-2 v-flux has no LF viscosity
+        2, kind, diagnostics=diagnostics, work=work.part("nodal"),
+    )
+    return project(rates, space, out=work.buffer("rhs", field.shape))
 
 
 def liouville_solve_gpc(
@@ -484,12 +539,15 @@ def liouville_solve_gpc(
     space = ChaosSpace.build(k, quad_count)
 
     diag = {"truncation_events": 0}
+    work = Workspace()
     if order == 1:
         force = galerkin_matrix(barrier.force, space)
-        rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, 1, kind, vflux_variant, diag)
+        rhs = lambda w: rhs_nodal(
+            w, grid, stencil, force, alpha, 1, kind, vflux_variant, diag, work
+        )
     else:
-        rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, diag)
-    step = lambda w: advance(w, grid.dt, rhs, integrator)
+        rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, diag, work)
+    step = lambda w: advance(w, grid.dt, rhs, integrator, work)
     mass = lambda w: float(w[:, :, 0].sum() * (grid.dx * grid.dv))
     field, diagnostics = march(
         deterministic_coeffs(values, k), step, steps, mass, "cell (%d, %d), mode %d"

@@ -45,8 +45,11 @@ def march(
     array axis, e.g. "cell %d, mode %d".  The diagnostics carry `steps`,
     `mass_initial`, `mass_drift_abs_max`, `mass_drift_rel_max` and
     `wall_time`, plus `min_value`/`max_value` when `track_range` is set.
-    Build `state` in the call, so that no caller variable keeps the initial
-    state alive and the march holds one state at a time.
+    The march keeps only the latest state, and `step` may write the next one
+    into a buffer of its own: a Liouville step alternates between the two
+    state buffers of its solve's workspace, so no state is allocated after
+    the first step.  Build `state` in the call, so that no caller variable
+    keeps the initial state alive once the first step has replaced it.
     """
     mass0 = mass(state)
     drift = np.zeros_like(mass0)

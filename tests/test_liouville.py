@@ -1,5 +1,7 @@
 """Phase-space solver: barrier stencil, fluxes, stepping, and conservation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from stochhyp import (
     liouville_solve_gpc,
     liouville_solve_nodal,
 )
-from stochhyp.liouville import advance, rhs_nodal, scheme_problems
+from stochhyp.liouville import PHASE_PROFILES, advance, rhs_nodal, scheme_problems
+from stochhyp.workspace import Workspace
 from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
 from stochhyp.gpc import deterministic_coeffs
 
@@ -313,6 +316,80 @@ def test_rk2_one_step_beats_euler_on_smooth_decay():
     heun = advance(u, dt, rhs, "rk2")[0, 0]
     exact = np.exp(-dt)
     assert abs(heun - exact) < 0.1 * abs(euler - exact)
+
+
+@pytest.mark.parametrize("solver", ["gpc", "nodal"])
+def test_rk2_solve_matches_a_hand_loop_of_advance_bitwise(solver):
+    # the solve shares one workspace between the rhs and advance; the hand
+    # loop allocates every array, so a stage slope overwritten in place shows
+    grid = unit_grid(nx=40, nv=40)
+    stencil = BarrierStencil.build(grid, STEP)
+    values = PHASE_PROFILES["quarter_disks"](grid.x_centers[:, None], grid.v_centers[None, :])
+    if solver == "gpc":
+        run = liouville_solve_gpc(grid, STEP, 4, 0.02, integrator="rk2")
+        force = galerkin_matrix(STEP.force, ChaosSpace.build(4))
+        field = deterministic_coeffs(values, 4)
+    else:
+        z = np.array([-0.6, 0.1, 0.9])
+        run = liouville_solve_nodal(grid, STEP, z, 0.02, integrator="rk2")
+        force = STEP.force(z)
+        field = np.repeat(values[:, :, None], z.size, axis=2)
+    diag = {"truncation_events": 0}
+    rhs = lambda w: rhs_nodal(w, grid, stencil, force, STEP.max_force, diagnostics=diag)
+    for _ in range(run.diagnostics["steps"]):
+        field = advance(field, grid.dt, rhs, "rk2")
+    assert run.diagnostics["steps"] == 10
+    np.testing.assert_array_equal(run.field, field)
+    assert run.diagnostics["truncation_events"] == diag["truncation_events"] > 0
+
+
+def test_rk2_refuses_a_rhs_whose_workspace_it_was_not_given():
+    grid = unit_grid(nx=20, nv=20)
+    stencil = BarrierStencil.build(grid, STEP)
+    work = Workspace()
+    rhs = lambda w: rhs_nodal(w, grid, stencil, STEP.force([0.5]), 0.1, work=work)
+    u = np.ones((20, 20, 1))
+    advance(u, grid.dt, rhs, "rk2", work)
+    with pytest.raises(ValueError, match="workspace"):
+        advance(u, grid.dt, rhs, "rk2")
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda grid: liouville_solve_gpc(grid, STEP, 4, 0.04),
+        lambda grid: liouville_solve_gpc(grid, STEP, 4, 0.04, order=2),
+        lambda grid: liouville_solve_nodal(grid, STEP, gauss_rule(5).nodes, 0.04, integrator="rk2"),
+    ],
+    ids=["gpc_order1", "gpc_order2", "nodal_rk2"],
+)
+def test_a_steady_state_step_allocates_almost_nothing(monkeypatch, solve):
+    # after one warm-up step the solve's workspace holds every full-size
+    # array, so three more steps allocate only small temporaries.  numpy's
+    # ufunc iterator allocates a buffer of at most np.getbufsize() values
+    # (64 kB) per strided or broadcast operand on each call, whatever the
+    # grid; on this grid one state array outweighs the three of one call
+    import stochhyp.liouville as liouville
+
+    growth = []
+
+    def measured_march(state, step, steps, mass, where, track_range=False):
+        state = step(state)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                state = step(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        growth.append((peak - before, state.nbytes))
+        return state, {}
+
+    monkeypatch.setattr(liouville, "march", measured_march)
+    solve(unit_grid())
+    [(grown, state_bytes)] = growth
+    assert grown < state_bytes
 
 
 # --- coefficient-space right-hand side ---
