@@ -214,24 +214,39 @@ class BarrierStencil:
         return cls(right_side, left_side, trunc)
 
 
+# The v-fluxes view each (nx, nv, n) array as nx*nv contiguous rows of n
+# values, cell (i, j) in row i*nv + j, so every v-edge sum or difference is
+# one contiguous operation between two views one row apart, uf[1:] and
+# uf[:-1].  The edge buffer has the state's shape: slot (i, j) holds edge
+# j+1/2 of x-row i.  Slot (i, nv-1), where the shifted views pair the top of
+# x-row i with the bottom of x-row i+1, is overwritten with x-row i's top
+# boundary edge.  The flux difference of slot j then reads slots j and j-1,
+# except at j = 0, which is recomputed from the bottom boundary edge.
+
+
 def _vflux_product(
     u: np.ndarray, force: np.ndarray, alpha: float, dv: float, work: Workspace
 ) -> np.ndarray:
     # central flux for the v-advection term -force*u, in conservative form;
     # zero-gradient ghosts collapse the boundary flux to -force*u_boundary
-    flux = work.buffer("vflux_edges", (u.shape[0], u.shape[1] + 1, u.shape[2]))
+    n = u.shape[-1]
+    edges = work.buffer("vflux_edges", u.shape)
     out = work.buffer("vflux", u.shape)
-    inner = flux[:, 1:-1]
-    scratch = out[:, 1:]  # free until the flux difference fills out
-    times(np.add(u[:, :-1], u[:, 1:], out=scratch), -0.5 * force, out=inner)
-    np.subtract(u[:, 1:], u[:, :-1], out=scratch)
+    uf, ef, of = (a.reshape(-1, n) for a in (u, edges, out))
+    scratch = of[:-1]  # free until the flux difference fills out
+    np.add(uf[:-1], uf[1:], out=scratch)
+    of[-1] = 0.0  # no sum; its product lands in a top boundary slot, overwritten below
+    # a Galerkin product per x-row: one product over every row would take
+    # BLAS's threaded path, whose buffers raise the peak memory
+    times(out, -0.5 * force, out=edges)
+    np.subtract(uf[1:], uf[:-1], out=scratch)
     scratch *= 0.5 * alpha
-    inner -= scratch
-    flux[:, 0] = times(u[:, 0], -force)
-    flux[:, -1] = times(u[:, -1], -force)
-    np.subtract(flux[:, 1:], flux[:, :-1], out=out)
-    np.negative(out, out=out)
-    out /= dv
+    ef[:-1] -= scratch
+    edges[:, -1] = times(u[:, -1], -force)
+    np.subtract(ef[1:], ef[:-1], out=of[1:])
+    np.subtract(edges[:, 0], times(u[:, 0], -force), out=out[:, 0])
+    # dividing by -dv negates every bit, signed zeros included
+    out /= -dv
     return out
 
 
@@ -255,19 +270,27 @@ def _vflux_second(
     u: np.ndarray, force: np.ndarray, dt: float, dv: float, work: Workspace
 ) -> np.ndarray:
     # one-step second-order edge values; the dt term makes euler stepping
-    # reproduce the classical second-order update exactly
-    edge = work.buffer("vflux_edges", (u.shape[0], u.shape[1] + 1, u.shape[2]))
+    # reproduce the classical second-order update exactly.  The per-node
+    # factors are tiled over the v-rows so that each multiplication runs
+    # over whole x-rows.
+    n = u.shape[-1]
+    slope, force_rows = work.derived(
+        "vflux_second_factors",
+        lambda: tuple(np.tile(f, (u.shape[1], 1)) for f in (force * dt / (2.0 * dv), force)),
+    )
+    edges = work.buffer("vflux_edges", u.shape)
     out = work.buffer("vflux", u.shape)
-    inner = edge[:, 1:-1]
-    diff = np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:])  # out is free until the end
-    np.add(u[:, :-1], u[:, 1:], out=inner)
-    inner *= 0.5
-    diff *= force * dt / (2.0 * dv)
-    inner += diff
-    edge[:, 0] = u[:, 0]
-    edge[:, -1] = u[:, -1]
-    np.subtract(edge[:, 1:], edge[:, :-1], out=out)
-    np.multiply(force, out, out=out)
+    uf, ef, of = (a.reshape(-1, n) for a in (u, edges, out))
+    np.subtract(uf[1:], uf[:-1], out=of[1:])  # out is free until the end
+    np.add(uf[:-1], uf[1:], out=ef[:-1])
+    ef[:-1] *= 0.5
+    out[0, 0] = 0.0  # the difference leaves it stale until it is recomputed below
+    out *= slope
+    ef[:-1] += of[1:]
+    edges[:, -1] = u[:, -1]
+    np.subtract(ef[1:], ef[:-1], out=of[1:])
+    np.subtract(edges[:, 0], u[:, 0], out=out[:, 0])
+    np.multiply(force_rows, out, out=out)
     out /= dv
     return out
 
@@ -291,7 +314,10 @@ def rhs_nodal(
     Galerkin matrix; order 2 is nodal only.
     """
     work = Workspace() if work is None else work
-    speed = work.derived("x_speed", lambda: (-1.0 / grid.dx) * grid.v_centers)
+    # the x speed of each v-row, tiled over the last axis
+    speed = work.derived(
+        "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], u.shape[-1], 1)
+    )
     half = grid.nv // 2
     il = grid.barrier_edge - 1
     ir = grid.barrier_edge
@@ -327,8 +353,7 @@ def rhs_nodal(
             + stencil.left_side.live_truncations(left_edge[ir, :])
         )
 
-    dpos *= speed[half:, None]
-    dneg *= speed[:half, None]
+    out *= speed
 
     if order == 2:
         out += _vflux_second(u, force, grid.dt, grid.dv, work)

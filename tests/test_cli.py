@@ -1,5 +1,7 @@
 """Command line harness: exit codes, output files, and reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from stochhyp import (
     moments_from_samples,
     run_convection,
 )
-from stochhyp.cli import main
+from stochhyp.cli import _fmt, _write_csv, main
 from stochhyp.config import PRESETS, parse_config
 from stochhyp.metrics import error_quadrature_size, nodal_h_norm
 
@@ -105,6 +107,43 @@ def test_liouville_run_emits_phase_space_columns(tmp_path):
     summary = (out / "run.txt").read_text()
     assert "min_value" in summary and "max_value" in summary
     assert "truncation_events" in summary
+
+
+def per_value_csv(header, rows):
+    # the writer's bytes as _fmt gives them, one value at a time
+    lines = [",".join(header)] + [",".join(_fmt(value) for value in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_float_tables_are_written_as_per_value_formatting(tmp_path):
+    specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 2.0, 0.1]
+    rng = np.random.default_rng(3)
+    table = np.concatenate([np.array(specials).reshape(2, 4), rng.standard_normal((2500, 4))])
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["a", "b", "c", "d"], table)
+    assert path.read_text() == per_value_csv(["a", "b", "c", "d"], table)
+    assert path.read_text().splitlines()[1:3] == [
+        "-0,nan,inf,-inf", "4.9406564584124654e-324,1.0000000000000001e+300,2,0.10000000000000001"
+    ]
+
+
+def test_sweep_tables_keep_their_integer_column(tmp_path):
+    table = [(2, 0.5, 1e-3), (4, 0.25, np.float64(-0.0))]
+    path = tmp_path / "sweep.csv"
+    _write_csv(path, ["k", "err", "h"], table)
+    assert path.read_text() == "k,err,h\n2,0.5,0.001\n4,0.25,-0\n"
+    assert path.read_text() == per_value_csv(["k", "err", "h"], table)
+
+
+def test_writing_a_float_table_stays_below_its_own_size(tmp_path):
+    table = np.random.default_rng(4).standard_normal((20000, 13))
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", ["c%d" % j for j in range(13)], table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes
 
 
 def test_check_reports_ok_or_fails_with_exit_2(tmp_path, capsys):

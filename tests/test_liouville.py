@@ -14,10 +14,11 @@ from stochhyp import (
     liouville_solve_gpc,
     liouville_solve_nodal,
 )
+from stochhyp import liouville
 from stochhyp.liouville import PHASE_PROFILES, advance, rhs_nodal, scheme_problems
 from stochhyp.workspace import Workspace
 from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
-from stochhyp.gpc import deterministic_coeffs
+from stochhyp.gpc import deterministic_coeffs, times
 
 STEP = PotentialBarrier(0.2, 0.0, 0.1)
 
@@ -268,6 +269,88 @@ def test_second_order_vflux_transports_quadratics_exactly():
     stepped = u + grid.dt * rhs_nodal(u, grid, stencil, barrier.force(z), 0.0, order=2)
     exact = (grid.v_centers + 0.1 * 0.7 * grid.dt) ** 2
     np.testing.assert_allclose(stepped[:, 1:-1, 0] - exact[None, 1:-1], 0.0, atol=1e-13)
+
+
+def strided_vflux_product(u, force, alpha, dv):
+    # reference: the v-flux written over (nx, nv + 1, n) edges with strided views
+    flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
+    out = np.empty(u.shape)
+    inner = flux[:, 1:-1]
+    scratch = out[:, 1:]
+    times(np.add(u[:, :-1], u[:, 1:], out=scratch), -0.5 * force, out=inner)
+    np.subtract(u[:, 1:], u[:, :-1], out=scratch)
+    scratch *= 0.5 * alpha
+    inner -= scratch
+    flux[:, 0] = times(u[:, 0], -force)
+    flux[:, -1] = times(u[:, -1], -force)
+    np.subtract(flux[:, 1:], flux[:, :-1], out=out)
+    np.negative(out, out=out)
+    out /= dv
+    return out
+
+
+def strided_vflux_second(u, force, dt, dv):
+    # reference: the order-2 v-flux with per-node factors broadcast over rows
+    edge = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
+    out = np.empty(u.shape)
+    inner = edge[:, 1:-1]
+    diff = np.subtract(u[:, 1:], u[:, :-1], out=out[:, 1:])
+    np.add(u[:, :-1], u[:, 1:], out=inner)
+    inner *= 0.5
+    diff *= force * dt / (2.0 * dv)
+    inner += diff
+    edge[:, 0] = u[:, 0]
+    edge[:, -1] = u[:, -1]
+    np.subtract(edge[:, 1:], edge[:, :-1], out=out)
+    np.multiply(force, out, out=out)
+    out /= dv
+    return out
+
+
+def same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def vflux_fields(shape, seed):
+    # nonzero everywhere, the boundary v-rows included, except a zero block
+    # whose equal neighbours give zero differences of either sign
+    rng = np.random.default_rng(seed)
+    fields = rng.standard_normal((2,) + shape)
+    fields[:, : shape[0] // 2, : shape[1] // 2] = 0.0
+    return rng, fields
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
+@pytest.mark.parametrize("force_kind", ["galerkin", "nodal"])
+def test_contiguous_vflux_product_matches_the_strided_one_bitwise(shape, force_kind):
+    rng, fields = vflux_fields(shape, 11)
+    n = shape[-1]
+    if force_kind == "galerkin":
+        force = galerkin_matrix(lambda z: 0.1 * z + 0.05 * z * z, ChaosSpace.build(n - 1))
+    else:
+        force = rng.uniform(-0.2, 0.2, n)
+    work = Workspace()
+    work.buffer("vflux_edges", shape).fill(np.nan)
+    work.buffer("vflux", shape).fill(np.nan)
+    for u in fields:  # the second call sees the first call's buffers
+        same_bits(
+            liouville._vflux_product(u, force, 0.3, 0.05, work),
+            strided_vflux_product(u, force, 0.3, 0.05),
+        )
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
+def test_contiguous_vflux_second_matches_the_strided_one_bitwise(shape):
+    rng, fields = vflux_fields(shape, 12)
+    force = rng.uniform(-0.2, 0.2, shape[-1])
+    work = Workspace()
+    work.buffer("vflux_edges", shape).fill(np.nan)
+    work.buffer("vflux", shape).fill(np.nan)
+    for u in fields:
+        same_bits(
+            liouville._vflux_second(u, force, 0.002, 0.05, work),
+            strided_vflux_second(u, force, 0.002, 0.05),
+        )
 
 
 def test_rigid_step_stencil_reflects_one_way():

@@ -4,12 +4,13 @@ Usage (from the repository root):
 
     python3 tools/snapshot_outputs.py OUT_DIR
 
-Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on eleven
+Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on thirteen
 preset variants (`VARIANTS`: order-2 collocation and deterministic runs of
 both problems, the `tanh` and `sqrt_rational` limiters, `example2_order1`
 with the potential step reversed, made too high to climb, and removed, rk2
-runs of `example2_order1` and `example2_collocation`, and `example2_order1`
-with `vflux = ratio`), and on
+runs of `example2_order1` and `example2_collocation`, `example2_order1`
+with `vflux = ratio`, and `example2_order1` and `example2_order2` on a v
+window narrow enough that density reaches its boundary rows), and on
 `example1_order1` the chaos-order sweep `--k 2..8 --ref 12` and the mesh
 sweep `--dx 0.02,0.01,0.005`, each into its own subdirectory of OUT_DIR,
 which must not exist yet.  The package is imported from the `src/` of the
@@ -36,7 +37,7 @@ from stochhyp.config import PRESETS  # noqa: E402
 # name -> (preset, config lines after it); these reach the order-2 nodal step
 # outside gPC, the limiter maps that no preset uses, the barrier stencil's
 # truncated, all-reflecting and no-jump rows, the rk2 stages of the gPC and
-# nodal steps, and the ratio v-flux
+# nodal steps, the ratio v-flux, and the boundary edges of both v-fluxes
 VARIANTS = {
     "convection_order2_collocation": ("example1_collocation", "order = 2\n[random]\nm = 6\n"),
     "convection_order2_deterministic": (
@@ -52,6 +53,8 @@ VARIANTS = {
     "liouville_rk2": ("example2_order1", "integrator = rk2\n"),
     "liouville_rk2_collocation": ("example2_collocation", "integrator = rk2\n"),
     "liouville_vflux_ratio": ("example2_order1", "vflux = ratio\n"),
+    "liouville_v_window": ("example2_order1", "[grid]\nv_hi = 0.81\nnv = 54\n"),
+    "liouville_order2_v_window": ("example2_order2", "[grid]\nv_hi = 0.81\nnv = 54\n"),
 }
 
 SWEEPS = {
