@@ -94,8 +94,12 @@ def limited_slopes(
 
     Cells `interface_index` and `interface_index + 1` sit on either side of
     the jump and take the one-sided difference that does not cross it; the
-    boundary cells are flat.  Unlike `bap_slope`, this does not scan for
-    non-finite values: the march scans every state its step returns.
+    boundary cells are flat.  On a slab of a larger grid's rows, the index
+    counts from the slab's first row, and an interface cell outside the
+    slab is left alone; the slab's own first and last rows, flat here, are
+    the halo whose slopes the caller does not read.  Unlike `bap_slope`,
+    this does not scan for non-finite values: the march scans every state
+    its step returns.
     """
     forward, inverse = limiter_maps(kind)
     work = Workspace() if work is None else work
@@ -112,8 +116,10 @@ def limited_slopes(
     # the mapped differences are spent: the slopes take their place
     slopes = inverse(mean, mapped[:-1])
     i = interface_index
-    slopes[i] = s[i]
-    slopes[i + 1] = s[i + 2]
+    if 0 <= i < len(slopes):
+        slopes[i] = s[i]
+    if 0 <= i + 1 < len(slopes):
+        slopes[i + 1] = s[i + 2]
     slopes[0] = 0.0
     slopes[-1] = 0.0
     return slopes

@@ -295,6 +295,116 @@ def _vflux_second(
     return out
 
 
+# Bytes of state, per block of consecutive x-rows, that set the block height:
+# a block's arrays then stay in cache while the step works through them.
+_BLOCK_BYTES = 384 * 1024
+
+
+def _row_blocks(grid: PhaseSpaceGrid, n: int):
+    """The x-row ranges [a, b) of a step's blocks, on n values per cell."""
+    height = max(1, _BLOCK_BYTES // (grid.nv * n * 8))
+    for a in range(0, grid.nx, height):
+        yield a, min(a + height, grid.nx)
+
+
+# One block of the right-hand side, x-rows [a, b).  It reads a slab of the
+# state's rows [lo, hi): [a-1, b+1) at order 1, where an upwind difference
+# reaches one row, and [a-2, b+2) at order 2, where the limited slope of
+# each of those rows reaches one row further, both clipped to the grid.
+# Slab row r is grid row lo + r; the order-2 slopes of its first and last
+# rows are halo, never read, unless those rows are the grid's own flat ends.
+# `upwind` holds the state each slab row carries across its downwind edge:
+# the right edge state u + offset in the upper v-half (v > 0), the left
+# edge state u - offset in the lower half, and u itself at order 1.  Row d
+# of `diffs` is the jump across x-edge a + d - 1/2, one contiguous
+# difference of whole rows; x-row i takes the upper half of its left edge,
+# diffs[i - a], and the lower half of its right edge, diffs[i - a + 1].  The
+# inflow edge -1/2, the outflow edge nx - 1/2 and the barrier edge ir - 1/2
+# are rewritten first.  The x speed then scales whole rows, and each half is
+# copied into place: numpy copies half rows about as fast as whole ones, but
+# computes on them more slowly.
+
+
+def _rhs_block(
+    u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, diagnostics, work,
+    space=None,
+) -> None:
+    """Fill rows [a, b) of `out`; with a chaos `space`, u holds coefficients to project."""
+    nx, half = grid.nx, grid.nv // 2
+    il, ir = grid.barrier_edge - 1, grid.barrier_edge
+    lo, hi = max(a - order, 0), min(b + order, nx)
+    slab = u[lo:hi]
+    if space is not None:
+        slab = np.matmul(
+            slab, space.table, out=work.buffer("nodal_values", slab.shape[:-1] + (space.count,))
+        )
+    n = slab.shape[-1]
+    # the x speed of each v-row, tiled over the last axis
+    speed = work.derived(
+        "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], n, 1)
+    )
+
+    if order == 1:
+        upwind = slab
+    else:
+        offsets = limited_slopes(slab, grid.dx, il - lo, kind, work)
+        # -dx/2 on rows moving right, so that u - offsets is each row's upwind
+        # state; x - (-y) is x + y to the bit
+        offsets *= work.derived(
+            "edge_offset",
+            lambda: np.repeat(np.where(grid.v_centers > 0.0, -0.5, 0.5)[:, None] * grid.dx, n, 1),
+        )
+        upwind = np.subtract(slab, offsets, out=work.buffer("upwind_states", slab.shape))
+
+    diffs = work.buffer("upwind_differences", (b - a + 1,) + slab.shape[1:])
+    first, last = max(a, 1), min(b + 1, nx)  # rows whose left edge is interior
+    np.subtract(
+        upwind[first - lo : last - lo], upwind[first - 1 - lo : last - 1 - lo],
+        out=diffs[first - a : last - a],
+    )
+    if a == 0:  # inflow: no state enters through edge -1/2
+        np.subtract(upwind[0], slab[0], out=diffs[0])
+    if b == nx:  # outflow: none through edge nx - 1/2
+        np.subtract(slab[-1], upwind[-1], out=diffs[-1])
+    if a <= ir <= b:
+        # the full edge states the barrier gather reads: the right edge of
+        # row il and the left edge of row ir
+        if order == 1:
+            right_il, left_ir = slab[il - lo], slab[ir - lo]
+        else:
+            right_il, left_ir = np.add(
+                slab[il - lo : ir - lo + 1], offsets[il - lo : ir - lo + 1],
+                out=work.buffer("barrier_edges", (2,) + slab.shape[1:]),
+            )
+            right_il[half:] = upwind[il - lo, half:]
+            left_ir[:half] = upwind[ir - lo, :half]
+        events = 0
+        if ir < b:  # rows moving right into row ir
+            ghost = stencil.right_side.gather(right_il, left_ir)
+            np.subtract(upwind[ir - lo, half:], ghost, out=diffs[ir - a, half:])
+            events += stencil.right_side.live_truncations(right_il)
+        if a <= il:  # rows moving left into row il
+            ghost = stencil.left_side.gather(left_ir, right_il)
+            np.subtract(ghost, upwind[il - lo, :half], out=diffs[ir - a, :half])
+            events += stencil.left_side.live_truncations(left_ir)
+        if diagnostics is not None:
+            diagnostics["truncation_events"] = diagnostics.get("truncation_events", 0) + events
+
+    diffs *= speed
+    rates = out[a:b] if space is None else work.buffer("nodal_rates", (b - a,) + slab.shape[1:])
+    rates[:, half:] = diffs[:-1, half:]
+    rates[:, :half] = diffs[1:, :half]
+    rows = slab[a - lo : b - lo]
+    if order == 2:
+        rates += _vflux_second(rows, force, grid.dt, grid.dv, work)
+    elif vflux_variant == "product":
+        rates += _vflux_product(rows, force, alpha, grid.dv, work)
+    else:
+        rates += _vflux_ratio(rows, force, alpha, grid.dv)
+    if space is not None:
+        project(rates, space, out=out[a:b])
+
+
 def rhs_nodal(
     u: np.ndarray,
     grid: PhaseSpaceGrid,
@@ -314,53 +424,11 @@ def rhs_nodal(
     Galerkin matrix; order 2 is nodal only.
     """
     work = Workspace() if work is None else work
-    # the x speed of each v-row, tiled over the last axis
-    speed = work.derived(
-        "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], u.shape[-1], 1)
-    )
-    half = grid.nv // 2
-    il = grid.barrier_edge - 1
-    ir = grid.barrier_edge
-
-    if order == 1:
-        right_edge = left_edge = u
-    else:
-        offsets = limited_slopes(u, grid.dx, il, kind, work)
-        offsets *= grid.dx / 2.0
-        right_edge = np.add(u, offsets, out=work.buffer("right_edge", u.shape))
-        left_edge = np.subtract(u, offsets, out=work.buffer("left_edge", u.shape))
-
     out = work.buffer("rhs", u.shape)
-    # rows moving right (upper half): upwind difference of right-edge states
-    up = right_edge[:, half:]
-    dpos = out[:, half:]
-    np.subtract(up[1:], up[:-1], out=dpos[1:])
-    dpos[0] = up[0] - u[0, half:]
-    ghost = stencil.right_side.gather(right_edge[il], left_edge[ir])
-    dpos[ir] = up[ir] - ghost
-
-    # rows moving left (lower half): upwind difference of left-edge states
-    dn = left_edge[:, :half]
-    dneg = out[:, :half]
-    np.subtract(dn[1:], dn[:-1], out=dneg[:-1])
-    dneg[-1] = u[-1, :half] - dn[-1]
-    ghost_l = stencil.left_side.gather(left_edge[ir], right_edge[il])
-    dneg[il] = ghost_l - dn[il]
-
-    if diagnostics is not None:
-        diagnostics["truncation_events"] = diagnostics.get("truncation_events", 0) + (
-            stencil.right_side.live_truncations(right_edge[il, :])
-            + stencil.left_side.live_truncations(left_edge[ir, :])
+    for a, b in _row_blocks(grid, u.shape[-1]):
+        _rhs_block(
+            u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, diagnostics, work
         )
-
-    out *= speed
-
-    if order == 2:
-        out += _vflux_second(u, force, grid.dt, grid.dv, work)
-    elif vflux_variant == "product":
-        out += _vflux_product(u, force, alpha, grid.dv, work)
-    else:
-        out += _vflux_ratio(u, force, alpha, grid.dv)
     return out
 
 
@@ -529,18 +597,19 @@ def galerkin_rhs(
 ) -> np.ndarray:
     """Order-2 time derivative of the coefficient field: evaluate, step, project.
 
-    The result is in `work`'s "rhs" buffer; the nodal step works in a part.
+    The result is in `work`'s "rhs" buffer.  Each block of x-rows is
+    evaluated at the nodes, stepped and projected in turn.
     """
     work = Workspace() if work is None else work
-    nodal = np.matmul(
-        field, space.table, out=work.buffer("nodal_values", field.shape[:-1] + (space.count,))
-    )
-    rates = rhs_nodal(
-        nodal, grid, stencil, work.derived("force", lambda: barrier.force(space.rule.nodes)),
-        0.0,  # alpha: the order-2 v-flux has no LF viscosity
-        2, kind, diagnostics=diagnostics, work=work.part("nodal"),
-    )
-    return project(rates, space, out=work.buffer("rhs", field.shape))
+    force = work.derived("force", lambda: barrier.force(space.rule.nodes))
+    out = work.buffer("rhs", field.shape)
+    for a, b in _row_blocks(grid, space.count):
+        # alpha: the order-2 v-flux has no LF viscosity
+        _rhs_block(
+            field, a, b, out, grid, stencil, force, 0.0, 2, kind, "product", diagnostics, work,
+            space,
+        )
+    return out
 
 
 def liouville_solve_gpc(

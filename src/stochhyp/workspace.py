@@ -19,11 +19,13 @@ class Workspace:
     """Named step buffers of one solve, plus the invariants the steps derive.
 
     `buffer(name, shape)` returns the array held under `name`, made with
-    `np.empty` on the first request (or when the shape changes), so it holds
-    whatever its last writer left.  Functions that share a workspace use
-    names of their own; a function that calls another whose names would
-    clash with its own hands it a `part`.  An array a function returns from
-    its workspace is overwritten by that function's next call.
+    `np.empty` on the first request, so it holds whatever its last writer
+    left.  A request for fewer leading rows than the held array has gets a
+    view of its first rows, so the blocks of rows that a step walks through,
+    a short last block included, share one array; a request for more rows
+    or another trailing shape makes a new one.  Functions that share a
+    workspace use names of their own.  An array a function returns from its
+    workspace is overwritten by that function's next call.
 
     A workspace serves one solve, whose grid, barrier and chaos space stay
     fixed: `derived` computes each invariant once and keeps it.
@@ -31,20 +33,13 @@ class Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray | None] = {}
-        self._parts: dict[str, Workspace] = {}
         self._derived: dict[str, object] = {}
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
+        if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
             buf = self._buffers[name] = np.empty(shape)
-        return buf
-
-    def part(self, name: str) -> "Workspace":
-        """The workspace of a nested call, whose names stay apart from these."""
-        if name not in self._parts:
-            self._parts[name] = Workspace()
-        return self._parts[name]
+        return buf if len(buf) == shape[0] else buf[: shape[0]]
 
     def swap(self, a: str, b: str) -> None:
         """Exchange the buffers held under two names."""

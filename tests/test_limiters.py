@@ -107,3 +107,23 @@ def test_limited_slopes_cell_by_cell(kind, i):
     slopes = limited_slopes(u, dx, i, kind)
     np.testing.assert_allclose(slopes, expected, rtol=1e-14, atol=0.0)
     assert np.all(slopes[[0, -1]] == 0.0)
+
+
+# cells 7 and 8 of 16 sit on either side of the interface; a slab of rows
+# [lo, hi) counts the interface from its own first row, so the index can
+# fall before it, past it, or on its first or last row
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 6), (10, 16), (3, 8), (8, 13), (5, 11)],
+    ids=["left_of_it", "right_of_it", "left_cell_only", "right_cell_only", "both_cells"],
+)
+def test_limited_slopes_on_a_slab_match_the_whole_grid(lo, hi):
+    rng = np.random.default_rng(23)
+    dx = 0.1
+    u = rng.standard_normal((16, 3))
+    whole = limited_slopes(u, dx, 7, "arctan").copy()
+    slab = limited_slopes(u[lo:hi], dx, 7 - lo, "arctan")
+    # the slab's first and last rows are its halo, unless they end the grid
+    first = 0 if lo == 0 else 1
+    last = len(slab) if hi == 16 else len(slab) - 1
+    np.testing.assert_array_equal(slab[first:last], whole[lo + first : lo + last])

@@ -15,10 +15,12 @@ from stochhyp import (
     liouville_solve_nodal,
 )
 from stochhyp import liouville
+from stochhyp.config import PRESETS
 from stochhyp.liouville import PHASE_PROFILES, advance, rhs_nodal, scheme_problems
 from stochhyp.workspace import Workspace
 from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
 from stochhyp.gpc import deterministic_coeffs, times
+from stochhyp.limiters import limited_slopes
 
 STEP = PotentialBarrier(0.2, 0.0, 0.1)
 
@@ -353,6 +355,121 @@ def test_contiguous_vflux_second_matches_the_strided_one_bitwise(shape):
         )
 
 
+def whole_grid_rhs_nodal(
+    u, grid, stencil, force, alpha, order=1, kind="arctan", vflux_variant="product",
+    diagnostics=None, work=None,
+):
+    # reference: the right-hand side computed on whole-grid arrays, with the
+    # x-transport differences on half rows
+    work = Workspace() if work is None else work
+    speed = work.derived(
+        "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], u.shape[-1], 1)
+    )
+    half = grid.nv // 2
+    il = grid.barrier_edge - 1
+    ir = grid.barrier_edge
+
+    if order == 1:
+        right_edge = left_edge = u
+    else:
+        offsets = limited_slopes(u, grid.dx, il, kind, work)
+        offsets *= grid.dx / 2.0
+        right_edge = np.add(u, offsets, out=work.buffer("right_edge", u.shape))
+        left_edge = np.subtract(u, offsets, out=work.buffer("left_edge", u.shape))
+
+    out = work.buffer("rhs", u.shape)
+    up = right_edge[:, half:]
+    dpos = out[:, half:]
+    np.subtract(up[1:], up[:-1], out=dpos[1:])
+    dpos[0] = up[0] - u[0, half:]
+    ghost = stencil.right_side.gather(right_edge[il], left_edge[ir])
+    dpos[ir] = up[ir] - ghost
+
+    dn = left_edge[:, :half]
+    dneg = out[:, :half]
+    np.subtract(dn[1:], dn[:-1], out=dneg[:-1])
+    dneg[-1] = u[-1, :half] - dn[-1]
+    ghost_l = stencil.left_side.gather(left_edge[ir], right_edge[il])
+    dneg[il] = ghost_l - dn[il]
+
+    if diagnostics is not None:
+        diagnostics["truncation_events"] = diagnostics.get("truncation_events", 0) + (
+            stencil.right_side.live_truncations(right_edge[il, :])
+            + stencil.left_side.live_truncations(left_edge[ir, :])
+        )
+
+    out *= speed
+
+    if order == 2:
+        out += liouville._vflux_second(u, force, grid.dt, grid.dv, work)
+    elif vflux_variant == "product":
+        out += liouville._vflux_product(u, force, alpha, grid.dv, work)
+    else:
+        out += liouville._vflux_ratio(u, force, alpha, grid.dv)
+    return out
+
+
+def whole_grid_galerkin_rhs(field, grid, barrier, stencil, kind, space, diagnostics=None):
+    # reference: evaluate, step and project the whole grid at once
+    nodal = np.matmul(field, space.table)
+    rates = whole_grid_rhs_nodal(
+        nodal, grid, stencil, barrier.force(space.rule.nodes), 0.0, 2, kind,
+        diagnostics=diagnostics,
+    )
+    return project(rates, space)
+
+
+def edge_grid(edge, nx=12, nv=8):
+    # barrier edge `edge` of nx cells 0.25 wide
+    return PhaseSpaceGrid(-0.25 * edge, 0.25 * (nx - edge), 1.0, nx, nv, 0.01)
+
+
+def block_rhs_pair(kind, order, grid, stencil, space, diag, ref_diag, work):
+    """The block right-hand side and its whole-grid reference, for one kind of field."""
+    if kind == "gpc" and order == 2:
+        return (
+            lambda w: liouville.galerkin_rhs(w, grid, STEP, stencil, "tanh", space, diag, work),
+            lambda w: whole_grid_galerkin_rhs(w, grid, STEP, stencil, "tanh", space, ref_diag),
+        )
+    force = galerkin_matrix(STEP.force, space) if kind == "gpc" else STEP.force([-0.8, 0.1, 0.9])
+    args = (grid, stencil, force, 0.3, order, "tanh")
+    return (
+        lambda w: rhs_nodal(w, *args, diagnostics=diag, work=work),
+        lambda w: whole_grid_rhs_nodal(w, *args, diagnostics=ref_diag),
+    )
+
+
+# the first interior edge, inside a block of 2 or 3 rows, on a block
+# boundary for every height, and the last interior edge
+@pytest.mark.parametrize("edge", [1, 5, 6, 11], ids=["first", "inside", "boundary", "last"])
+@pytest.mark.parametrize("kind", ["nodal", "gpc"])
+def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
+    # blocks of 1, 2 and 3 rows and the whole grid, at orders 1 and 2 with
+    # euler and rk2 stepping, on 3 nodes or 3 chaos modes; a random field
+    # feeds every row of the barrier gather, the truncated ones included
+    grid = edge_grid(edge)
+    stencil = BarrierStencil.build(grid, STEP)
+    space = ChaosSpace.build(2)
+    start = np.random.default_rng(edge).uniform(0.0, 1.0, (grid.nx, grid.nv, 3))
+    for order in (1, 2):
+        nodes = space.count if (kind, order) == ("gpc", 2) else 3
+        for height in (1, 2, 3, grid.nx):
+            monkeypatch.setattr(liouville, "_BLOCK_BYTES", height * grid.nv * nodes * 8)
+            assert next(liouville._row_blocks(grid, nodes)) == (0, height)
+            for integrator in ("euler", "rk2"):
+                diag, ref_diag = {}, {}
+                work = Workspace()
+                rhs, reference = block_rhs_pair(
+                    kind, order, grid, stencil, space, diag, ref_diag, work
+                )
+                field = ref = start
+                for _ in range(3):
+                    field = advance(field, grid.dt, rhs, integrator, work)
+                    ref = advance(ref, grid.dt, reference, integrator)
+                    same_bits(field, ref)
+                assert diag["truncation_events"] == ref_diag["truncation_events"] > 0
+
+
 def test_rigid_step_stencil_reflects_one_way():
     # jump too high for any grid row to climb: rows arriving rightward all
     # reflect, while leftward arrivals trace back to off-grid speeds
@@ -473,6 +590,39 @@ def test_a_steady_state_step_allocates_almost_nothing(monkeypatch, solve):
     solve(unit_grid())
     [(grown, state_bytes)] = growth
     assert grown < state_bytes
+
+
+def test_a_workspace_serves_fewer_rows_from_the_array_it_holds():
+    work = Workspace()
+    held = work.buffer("rows", (4, 3))
+    assert work.buffer("rows", (4, 3)) is held
+    short = work.buffer("rows", (2, 3))
+    assert short.shape == (2, 3) and short.base is held
+    assert not np.shares_memory(work.buffer("rows", (5, 3)), held)
+    assert work.buffer("rows", (2, 2)).shape == (2, 2)
+
+
+def test_an_order2_gpc_step_holds_no_array_of_the_whole_nodal_field(monkeypatch):
+    # the step evaluates, steps and projects one block of x-rows at a time,
+    # so no buffer of the solve's workspace spans every row at the nodes
+    preset = PRESETS["example2_order2"]
+    grid = PhaseSpaceGrid(*(preset[key] for key in ("x_lo", "x_hi", "v_hi", "nx", "nv", "dt")))
+    barrier = PotentialBarrier(preset["v_left"], preset["v_right"], preset["slope_amp"])
+    workspaces = []
+
+    class Recorded(Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    monkeypatch.setattr(liouville, "Workspace", Recorded)
+    run = liouville_solve_gpc(grid, barrier, preset["k"], 2 * grid.dt, order=2)
+    assert run.diagnostics["steps"] == 2
+    count = ChaosSpace.build(preset["k"]).count
+    [work] = workspaces
+    shapes = [buf.shape for buf in work._buffers.values() if buf is not None]
+    assert (grid.nx, grid.nv, count) not in shapes
+    assert max(shape[0] for shape in shapes if shape[-1] == count) < grid.nx // 4
 
 
 # --- coefficient-space right-hand side ---

@@ -4,13 +4,16 @@ Usage (from the repository root):
 
     python3 tools/snapshot_outputs.py OUT_DIR
 
-Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on thirteen
+Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on fourteen
 preset variants (`VARIANTS`: order-2 collocation and deterministic runs of
 both problems, the `tanh` and `sqrt_rational` limiters, `example2_order1`
 with the potential step reversed, made too high to climb, and removed, rk2
 runs of `example2_order1` and `example2_collocation`, `example2_order1`
-with `vflux = ratio`, and `example2_order1` and `example2_order2` on a v
-window narrow enough that density reaches its boundary rows), and on
+with `vflux = ratio`, `example2_order1` and `example2_order2` on a v
+window narrow enough that density reaches its boundary rows, and
+`example2_order2` on x in [-1.92, 2.1], which moves the barrier to x-edge
+64 of 134: there a block boundary of the step's 16-row blocks, which end
+in a short block of 6 rows), and on
 `example1_order1` the chaos-order sweep `--k 2..8 --ref 12` and the mesh
 sweep `--dx 0.02,0.01,0.005`, each into its own subdirectory of OUT_DIR,
 which must not exist yet.  The package is imported from the `src/` of the
@@ -37,7 +40,8 @@ from stochhyp.config import PRESETS  # noqa: E402
 # name -> (preset, config lines after it); these reach the order-2 nodal step
 # outside gPC, the limiter maps that no preset uses, the barrier stencil's
 # truncated, all-reflecting and no-jump rows, the rk2 stages of the gPC and
-# nodal steps, the ratio v-flux, and the boundary edges of both v-fluxes
+# nodal steps, the ratio v-flux, the boundary edges of both v-fluxes, and
+# the barrier on a boundary between two blocks of x-rows
 VARIANTS = {
     "convection_order2_collocation": ("example1_collocation", "order = 2\n[random]\nm = 6\n"),
     "convection_order2_deterministic": (
@@ -55,6 +59,7 @@ VARIANTS = {
     "liouville_vflux_ratio": ("example2_order1", "vflux = ratio\n"),
     "liouville_v_window": ("example2_order1", "[grid]\nv_hi = 0.81\nnv = 54\n"),
     "liouville_order2_v_window": ("example2_order2", "[grid]\nv_hi = 0.81\nnv = 54\n"),
+    "liouville_order2_block_edge": ("example2_order2", "[grid]\nx_lo = -1.92\nx_hi = 2.1\n"),
 }
 
 SWEEPS = {
