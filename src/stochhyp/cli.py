@@ -13,7 +13,6 @@ CSV numbers carry 17 significant digits so serial reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -54,8 +53,6 @@ _CSV_CHUNK_ROWS = 256
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -64,19 +61,16 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    rows = np.asarray(rows, dtype=float)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-            # the bytes _fmt gives, one format per row; tolist() runs on
-            # bounded chunks, so the table never exists as Python floats at once
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-                chunk = rows[start : start + _CSV_CHUNK_ROWS].tolist()
-                handle.writelines(line % tuple(row) for row in chunk)
-        else:
-            for row in rows:
-                writer.writerow([_fmt(value) for value in row])
+        handle.write(",".join(header) + "\n")
+        # the bytes _fmt gives, an integral k included ("%.17g" % 2.0 is "2"),
+        # one format per row; tolist() runs on bounded chunks, so the table
+        # never exists as Python floats at once
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start : start + _CSV_CHUNK_ROWS].tolist()
+            handle.writelines(line % tuple(row) for row in chunk)
     print("wrote %s" % path)
 
 
@@ -113,11 +107,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def _convection_options(config: ExperimentConfig) -> dict:
-    """Scheme keywords that every convection solver takes from the config."""
-    return dict(order=config.order, profile=config.profile, kind=config.limiter)
-
-
 def _load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
@@ -142,7 +131,7 @@ def _problem(config: ExperimentConfig) -> _Problem:
     t_final = config.t_final
     if config.problem == "convection":
         coef, grid = convection_parts(config)
-        scheme = _convection_options(config)
+        scheme = dict(order=config.order, profile=config.profile, kind=config.limiter)
         return _Problem(
             {"x": grid.centers},
             {"dx": grid.dx, "interface_shift": grid.shift},
@@ -251,37 +240,31 @@ def _cmd_sweep(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    problem = _problem(config)
     if args.k is not None:
         if args.ref is None:
             raise ConfigurationError(["--k requires --ref for the reference order"])
         k_list = _parse_k_list(args.k)
         _require_monotone(k_list, "--k")
-        problem = _problem(config)
         rows = gpc_error_sweep(
             lambda k: problem.chaos(k)[0], k_list, args.ref, problem.cell, threads=config.threads
         )
     else:
-        if config.problem != "convection":
+        if problem.errors is None:
             raise ConfigurationError(["mesh sweeps need the analytic solution (convection)"])
         dx_list = [float(tok) for tok in args.dx.split(",") if tok.strip()]
         _require_monotone(dx_list, "--dx")
-        coef, _ = convection_parts(config)
-        rows = mesh_error_sweep(
-            coef,
-            config.a,
-            config.b,
-            dx_list,
-            config.dt / config.dx,
-            config.k,
-            config.t_final,
-            threads=config.threads,
-            **_convection_options(config),
-        )
+
+        def errors_at(dx: float, dt: float) -> dict:
+            point = _problem(dataclasses.replace(config, dx=dx, dt=dt))
+            return point.errors(point.chaos(config.k)[0], None)
+
+        rows = mesh_error_sweep(errors_at, dx_list, config.dt / config.dx, threads=config.threads)
 
     header = [field.name for field in dataclasses.fields(rows[0])]
-    table = [dataclasses.astuple(row) for row in rows]
+    table = np.array([dataclasses.astuple(row) for row in rows], dtype=float)
     _write_csv(out / "sweep.csv", header, table)
-    loglog = [[np.log10(v) if v > 0 else -np.inf for v in row] for row in table]
+    loglog = np.log10(table, out=np.full(table.shape, -np.inf), where=table > 0)
     _write_csv(out / "sweep_loglog.csv", ["log10_%s" % h for h in header], loglog)
     return 0
 

@@ -275,14 +275,11 @@ class AnalyticConvectionSolution:
         return np.where(x > cp * t, upper, np.where(x > 0.0, middle, lower))
 
     def _z_breakpoints(self, x: float, t: float) -> np.ndarray:
-        """Points in z where the solution at (x, t) loses smoothness."""
+        """Points in z where the solution at (x, t) loses smoothness; t and sigma nonzero."""
         coef = self.coef
         sigma = coef.sigma
-        pts = [-1.0, 1.0]
-        if sigma == 0.0 or t == 0.0:
-            return np.array(sorted(pts))
         st = sigma * t
-        pts.append((x / t - coef.c_plus) / sigma)
+        pts = [(x / t - coef.c_plus) / sigma]
         if self.profile.support is not None:
             lo, hi = self.profile.support
             for c in (coef.c_plus, coef.c_minus):

@@ -103,23 +103,22 @@ def limited_slopes(
     """
     forward, inverse = limiter_maps(kind)
     work = Workspace() if work is None else work
-    # s[j] is the difference across the left edge of cell j; the outer edges
-    # are flat, so cell j averages s[j] and s[j + 1]
-    s = work.buffer("limiter_differences", (u.shape[0] + 1,) + u.shape[1:])
-    s[0] = 0.0
-    s[-1] = 0.0
-    np.subtract(u[1:], u[:-1], out=s[1:-1])
-    s[1:-1] /= dx
-    mapped = forward(s, work.buffer("limiter_mapped", s.shape))
-    mean = np.add(mapped[:-1], mapped[1:], out=work.buffer("limiter_mean", u.shape))
+    # d[j] is the difference across the right edge of cell j; interior cell
+    # j averages d[j - 1] and d[j], and the end cells are flat
+    d = work.buffer("limiter_differences", (u.shape[0] - 1,) + u.shape[1:])
+    np.subtract(u[1:], u[:-1], out=d)
+    d /= dx
+    slopes = work.buffer("limiter_mapped", u.shape)
+    mapped = forward(d, slopes[:-1])
+    mean = np.add(mapped[:-1], mapped[1:], out=work.buffer("limiter_mean", mapped[1:].shape))
     mean *= 0.5
     # the mapped differences are spent: the slopes take their place
-    slopes = inverse(mean, mapped[:-1])
-    i = interface_index
-    if 0 <= i < len(slopes):
-        slopes[i] = s[i]
-    if 0 <= i + 1 < len(slopes):
-        slopes[i + 1] = s[i + 2]
+    inverse(mean, slopes[1:-1])
     slopes[0] = 0.0
     slopes[-1] = 0.0
+    i = interface_index
+    if 1 <= i < len(slopes) - 1:
+        slopes[i] = d[i - 1]
+    if 1 <= i + 1 < len(slopes) - 1:
+        slopes[i + 1] = d[i + 1]
     return slopes

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convection import ConvectionGrid, InterfaceCoefficient, convection_errors, run_convection
 from .errors import reject
 from .gpc import ChaosSpace
 from .metrics import MomentField, error_quadrature_size, h_norm, l1_norm
@@ -109,19 +108,16 @@ def gpc_error_sweep(
 
 
 def mesh_error_sweep(
-    coef: InterfaceCoefficient,
-    a: float,
-    b: float,
+    errors_at,
     dx_list,
     dt_ratio: float,
-    k: int,
-    t_final: float,
-    order: int = 1,
-    profile: str = "cos_bump",
-    kind: str = "arctan",
     threads: int = 1,
 ) -> list[MeshSweepRow]:
-    """Error against the analytic solution on a family of meshes, dt = dt_ratio*dx."""
+    """Errors of errors_at(dx, dt) on a family of meshes, dt = dt_ratio*dx.
+
+    `errors_at` solves on one mesh and returns the errors.csv columns, named
+    as MeshSweepRow's error fields.
+    """
     dx_list = [float(dx) for dx in dx_list]
     problems = thread_problems(threads)
     if not dx_list:
@@ -133,9 +129,7 @@ def mesh_error_sweep(
     reject(problems)
 
     def one(dx: float) -> MeshSweepRow:
-        grid = ConvectionGrid.from_spacing(a, b, dx, dt_ratio * dx)
-        run = run_convection(coef, grid, k, t_final, order=order, profile=profile, kind=kind)
-        errors = convection_errors(coef, grid, profile, t_final, run.coeffs)
-        return MeshSweepRow(grid.dx, grid.dt, **errors)
+        dt = dt_ratio * dx
+        return MeshSweepRow(dx, dt, **errors_at(dx, dt))
 
     return _map_ordered(one, dx_list, threads)

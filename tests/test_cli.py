@@ -177,6 +177,9 @@ def test_divergence_exits_3_and_records_the_blowup(tmp_path, capsys):
     assert "status = diverged" in summary
     assert "step = 1" in summary
     assert "cell" in summary
+    for flags in (["--k", "0,1", "--ref", "2"], ["--dx", "0.05"]):
+        assert main(["sweep", cfg, *flags]) == 3
+        assert "diverged" in capsys.readouterr().err
 
 
 def test_presets_lists_and_shows(tmp_path, capsys):
@@ -197,9 +200,14 @@ def test_sweep_flag_validation(tmp_path, capsys):
     assert main(["sweep", cfg, "--k", "0..2", "--dx", "0.1"]) == 2
     assert main(["sweep", cfg, "--k", "0..2"]) == 2  # no --ref
     assert main(["sweep", cfg, "--k", "2,2,2", "--ref", "4"]) == 2  # not monotone
-    liou = write_config(tmp_path, LIOU_SMALL, name="liou.cfg")
-    assert main(["sweep", liou, "--dx", "0.1,0.05"]) == 2  # mesh sweeps are convection-only
     capsys.readouterr()
+    assert main(["sweep", cfg, "--k", ",", "--ref", "4"]) == 2
+    assert "--k expects values like 2..20 or 2,4,8" in capsys.readouterr().err
+    # Liouville has no analytic solution to score a mesh against
+    liou_text = LIOU_SMALL.replace("mode = deterministic", "mode = gpc_sg") + "\n[random]\nk = 2\n"
+    liou = write_config(tmp_path, liou_text, name="liou.cfg")
+    assert main(["sweep", liou, "--dx", "0.1,0.05"]) == 2
+    assert "mesh sweeps need the analytic solution" in capsys.readouterr().err
 
 
 def test_sweeps_reject_a_quadrature_size(tmp_path, capsys):

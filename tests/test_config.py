@@ -105,6 +105,22 @@ def test_out_of_range_sample_is_rejected():
     assert any("[-1, 1]" in v and v.startswith("line 3:") for v in found)
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("problem = heat\n", "problem must be one of ('convection', 'liouville')"),
+        (
+            "preset = example1_order1\nmode = monte_carlo\n",
+            "mode must be one of ('gpc_sg', 'collocation', 'deterministic')",
+        ),
+        ("preset = example1_collocation\n[random]\nm = 0\n", "line 3: quadrature size m must be >= 1"),
+    ],
+    ids=["unknown_problem", "unknown_mode", "collocation_m_0"],
+)
+def test_a_value_outside_its_choices_is_reported(text, expected):
+    assert expected in violations_of(text)
+
+
 def test_low_viscosity_is_rejected():
     found = violations_of("preset = example2_order1\n[random]\nalpha = 0.01\n")
     assert any("alpha" in v for v in found)
@@ -331,6 +347,13 @@ def _solve_liouville(t_final=0.05, **options):
             "order = 2\n" + LIOUVILLE_BASE.replace("t_final = 0.05", "t_final = 0.055") + "m = 2\n",
             lambda: _solve_liouville(quad_count=2, order=2, t_final=0.055),
         ),
+        ("order = 3\n" + LIOUVILLE_BASE, lambda: _solve_liouville(order=3)),
+        ("integrator = rk4\n" + LIOUVILLE_BASE, lambda: _solve_liouville(integrator="rk4")),
+        ("vflux = upwind\n" + LIOUVILLE_BASE, lambda: _solve_liouville(vflux_variant="upwind")),
+        (
+            CONVECTION_BASE.replace("t_final = 0.1", "t_final = -0.1"),
+            lambda: _solve_convection(t_final=-0.1),
+        ),
     ],
     ids=[
         "order_3",
@@ -346,6 +369,10 @@ def _solve_liouville(t_final=0.05, **options):
         "liouville_m_below_k_plus_1",
         "convection_steps_and_m_in_config_order",
         "liouville_steps_and_m_in_config_order",
+        "liouville_order_3",
+        "liouville_unknown_integrator",
+        "liouville_unknown_vflux",
+        "negative_t_final",
     ],
 )
 def test_config_and_solver_reject_a_setting_with_the_same_message(text, solve):

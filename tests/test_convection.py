@@ -73,11 +73,16 @@ def test_grid_requires_interior_interface():
         ConvectionGrid.from_spacing(0.5, 2.0, 0.1, 0.01)
     with pytest.raises(ConfigurationError):
         ConvectionGrid.from_spacing(-2.0, -1.0, 0.1, 0.01)
+    # sliding [-0.04, 0.96] onto the edge x = 0 makes that edge its left end
+    with pytest.raises(ConfigurationError, match="x = 0 must be an interior cell edge"):
+        ConvectionGrid.from_spacing(-0.04, 0.96, 0.1, 0.01)
 
 
 def test_grid_requires_integer_cell_count():
     with pytest.raises(ConfigurationError):
         ConvectionGrid.from_spacing(-1.0, 1.003, 0.01, 0.001)
+    with pytest.raises(ConfigurationError, match="at least 4 cells"):
+        ConvectionGrid.from_spacing(-0.1, 0.2, 0.1, 0.01)
 
 
 def test_grid_aligns_interface_to_edge_and_records_shift():

@@ -10,6 +10,7 @@ from stochhyp import (
     QuadratureRule,
     galerkin_matrix,
     gauss_rule,
+    legendre_table,
     project,
 )
 
@@ -62,6 +63,8 @@ def test_basis_domain_errors():
         basis.values([1.5])
     with pytest.raises(ValueError):
         basis.values(np.array([0.0, -1.0001]))
+    with pytest.raises(ValueError, match="k_max must be nonnegative"):
+        legendre_table(-1, [0.0])
 
 
 def test_orthonormality_under_quadrature():

@@ -61,11 +61,15 @@ def test_grid_validation_collects_problems():
     assert "straddle" in text
     assert "even" in text
     assert "dt" in text
+    with pytest.raises(ConfigurationError, match="at least 4 cells per direction"):
+        PhaseSpaceGrid(-1.0, 1.0, 1.0, 2, 10, 0.01)
 
 
 def test_grid_rejects_misaligned_barrier():
     with pytest.raises(ConfigurationError):
         PhaseSpaceGrid(-1.0, 2.0, 2.0, 10, 10, 0.01)  # dx = 0.3, 0 not on an edge
+    with pytest.raises(ConfigurationError, match="x = 0 must be an interior cell edge"):
+        PhaseSpaceGrid(-2.0, 1e-12, 2.0, 10, 10, 0.01)  # 0 on the right end's edge
 
 
 def test_barrier_evaluation():

@@ -122,6 +122,11 @@ def test_moments_from_samples_constant():
     np.testing.assert_allclose(mf.variance, 0.0, atol=1e-13)
 
 
+def test_moments_from_samples_rejects_another_node_count():
+    with pytest.raises(ValueError, match="sample count does not match"):
+        moments_from_samples(np.ones((4, 3)), gauss_rule(5))
+
+
 def test_moments_from_samples_linear_in_z():
     # u(z) = z per cell: mean 0, variance 1/3
     rule = gauss_rule(6)

@@ -7,6 +7,7 @@ from stochhyp import (
     ConfigurationError,
     ConvectionGrid,
     InterfaceCoefficient,
+    convection_errors,
     gpc_error_sweep,
     mesh_error_sweep,
     run_convection,
@@ -87,8 +88,15 @@ def test_chaos_refinement_decays_on_the_interface_problem():
     assert dist[-1] < 1e-4
 
 
+def convection_errors_at(dx, dt):
+    # k = 4 at t = 0.4 on [-2, 6], with the default order-1 scheme
+    grid = ConvectionGrid.from_spacing(-2.0, 6.0, dx, dt)
+    run = run_convection(COEF, grid, 4, 0.4)
+    return convection_errors(COEF, grid, "cos_bump", 0.4, run.coeffs)
+
+
 def test_mesh_refinement_shrinks_the_error():
-    rows = mesh_error_sweep(COEF, -2.0, 6.0, [0.04, 0.02], 0.2, 4, 0.4)
+    rows = mesh_error_sweep(convection_errors_at, [0.04, 0.02], 0.2)
     assert [r.dx for r in rows] == [0.04, 0.02]
     assert rows[0].dt == pytest.approx(0.008)
     ratio = rows[0].l1_total / rows[1].l1_total
@@ -98,10 +106,10 @@ def test_mesh_refinement_shrinks_the_error():
 
 def test_mesh_sweep_validation():
     with pytest.raises(ConfigurationError, match="empty"):
-        mesh_error_sweep(COEF, -2.0, 6.0, [], 0.2, 4, 0.4)
+        mesh_error_sweep(convection_errors_at, [], 0.2)
     with pytest.raises(ConfigurationError, match="positive"):
-        mesh_error_sweep(COEF, -2.0, 6.0, [0.04, -0.01], 0.2, 4, 0.4)
+        mesh_error_sweep(convection_errors_at, [0.04, -0.01], 0.2)
     with pytest.raises(ConfigurationError, match="ratio"):
-        mesh_error_sweep(COEF, -2.0, 6.0, [0.04], 0.0, 4, 0.4)
+        mesh_error_sweep(convection_errors_at, [0.04], 0.0)
     with pytest.raises(ConfigurationError, match="threads"):
-        mesh_error_sweep(COEF, -2.0, 6.0, [0.04], 0.2, 4, 0.4, threads=-1)
+        mesh_error_sweep(convection_errors_at, [0.04], 0.2, threads=-1)

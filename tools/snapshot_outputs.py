@@ -13,10 +13,13 @@ with `vflux = ratio`, `example2_order1` and `example2_order2` on a v
 window narrow enough that density reaches its boundary rows, and
 `example2_order2` on x in [-1.92, 2.1], which moves the barrier to x-edge
 64 of 134: there a block boundary of the step's 16-row blocks, which end
-in a short block of 6 rows), and on
+in a short block of 6 rows), and four sweeps (`SWEEPS`): on
 `example1_order1` the chaos-order sweep `--k 2..8 --ref 12` and the mesh
-sweep `--dx 0.02,0.01,0.005`, each into its own subdirectory of OUT_DIR,
-which must not exist yet.  The package is imported from the `src/` of the
+sweep `--dx 0.02,0.01,0.005`, the mesh sweep `--dx 0.04,0.02` of
+`example1_order2` with the `tanh` limiter, k = 4 and t_final = 0.2, and
+the mesh sweep `--dx 0.02,0.01` of `example1_order1` on two threads; each
+command writes into its own subdirectory of OUT_DIR, which must not exist
+yet.  The package is imported from the `src/` of the
 checkout this file sits in.  `exit_codes.txt` records each command's exit
 code, and the `wall_time` line is dropped from every `run.txt`, so
 `diff -r` of the snapshots of two checkouts is empty exactly when their
@@ -62,9 +65,17 @@ VARIANTS = {
     "liouville_order2_block_edge": ("example2_order2", "[grid]\nx_lo = -1.92\nx_hi = 2.1\n"),
 }
 
+# name -> (preset, config lines after it, sweep flags); the last two carry
+# the order, the limiter and the thread count to every point of a mesh sweep
 SWEEPS = {
-    "sweep_k": ["--k", "2..8", "--ref", "12"],
-    "sweep_dx": ["--dx", "0.02,0.01,0.005"],
+    "sweep_k": ("example1_order1", "", ["--k", "2..8", "--ref", "12"]),
+    "sweep_dx": ("example1_order1", "", ["--dx", "0.02,0.01,0.005"]),
+    "sweep_dx_order2_tanh": (
+        "example1_order2",
+        "t_final = 0.2\nlimiter = tanh\n[random]\nk = 4\n",
+        ["--dx", "0.04,0.02"],
+    ),
+    "sweep_dx_threads": ("example1_order1", "threads = 2\n", ["--dx", "0.02,0.01"]),
 }
 
 
@@ -74,8 +85,8 @@ def commands():
         yield name, ["run"], "preset = %s\nt_final = 0.1\n" % name
     for name, (preset, lines) in VARIANTS.items():
         yield name, ["run"], "preset = %s\nt_final = 0.1\n%s" % (preset, lines)
-    for name, flags in SWEEPS.items():
-        yield name, ["sweep", *flags], "preset = example1_order1\n"
+    for name, (preset, lines, flags) in SWEEPS.items():
+        yield name, ["sweep", *flags], "preset = %s\n%s" % (preset, lines)
 
 
 def main(argv=None) -> int:
