@@ -237,8 +237,6 @@ def _cmd_sweep(args) -> int:
     if config.m is not None:
         # neither sweep passes a quadrature size to its solver
         raise ConfigurationError(["[random] m has no effect on sweep"])
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     problem = _problem(config)
     if args.k is not None:
@@ -263,6 +261,8 @@ def _cmd_sweep(args) -> int:
 
     header = [field.name for field in dataclasses.fields(rows[0])]
     table = np.array([dataclasses.astuple(row) for row in rows], dtype=float)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", header, table)
     loglog = np.log10(table, out=np.full(table.shape, -np.inf), where=table > 0)
     _write_csv(out / "sweep_loglog.csv", ["log10_%s" % h for h in header], loglog)

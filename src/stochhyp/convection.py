@@ -46,7 +46,6 @@ __all__ = [
     "build_lambda_matrices",
     "scheme_problems",
     "step_first_order",
-    "step_second_order",
     "step_second_order_nodal",
     "run_convection",
     "convection_solve_nodal",
@@ -188,25 +187,16 @@ def step_second_order_nodal(
     return _upwind(field, edges, lam_minus, lam_plus, interface_index)
 
 
-def step_second_order(
-    field: np.ndarray,
-    lam_minus: np.ndarray,
-    lam_plus: np.ndarray,
-    grid: ConvectionGrid,
-    space: ChaosSpace,
-    kind: str = "arctan",
-) -> np.ndarray:
-    """Second-order coefficient step, realized through the space's nodes.
+def _nodal_step(coef, grid, nodes, order, kind) -> Callable[[np.ndarray], np.ndarray]:
+    """The scheme of `order` as a step of (cells, nodes) samples, speeds (dt/dx)*c(x, z_q).
 
-    lam_* are the per-node speeds (dt/dx)*c(x, z_q) on each side of the jump.
-    The field is evaluated at the nodes, the nodal scheme (limiter included)
-    is applied per node, and the result is projected back onto the basis.
+    The order-2 SG step is this step at the rule's nodes between one evaluate
+    and one project, so the limiter acts per node.
     """
-    nodal = np.asarray(field, dtype=float) @ space.table
-    stepped = step_second_order_nodal(
-        nodal, lam_minus, lam_plus, grid.dx, grid.interface_index, kind
-    )
-    return project(stepped, space)
+    lam_m, lam_p = grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
+    if order == 1:
+        return lambda w: step_first_order(w, lam_m, lam_p, grid.interface_index)
+    return lambda w: step_second_order_nodal(w, lam_m, lam_p, grid.dx, grid.interface_index, kind)
 
 
 def _cos_bump(x):
@@ -371,9 +361,8 @@ def run_convection(
         lam_minus, lam_plus = build_lambda_matrices(coef, grid, space)
         step = lambda f: step_first_order(f, lam_minus, lam_plus, grid.interface_index)
     else:
-        nodes = space.rule.nodes
-        lam_minus, lam_plus = grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
-        step = lambda f: step_second_order(f, lam_minus, lam_plus, grid, space, kind)
+        nodal = _nodal_step(coef, grid, space.rule.nodes, order, kind)
+        step = lambda f: project(nodal(f @ space.table), space)
     mass = lambda f: float(np.sum(f[:, 0]) * grid.dx)
     return ConvectionRun(
         *march(deterministic_coeffs(values, k), step, steps, mass, "cell %d, mode %d")
@@ -392,12 +381,7 @@ def convection_solve_nodal(
     """March the deterministic scheme at fixed z samples; shape (cells, nodes)."""
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
     steps, values = _set_up_solve(coef, grid, t_final, order, profile, kind, z_nodes)
-
-    lam_m, lam_p = grid.ratio * coef.left(z_nodes), grid.ratio * coef.right(z_nodes)
-    if order == 1:
-        step = lambda w: step_first_order(w, lam_m, lam_p, grid.interface_index)
-    else:
-        step = lambda w: step_second_order_nodal(w, lam_m, lam_p, grid.dx, grid.interface_index, kind)
+    step = _nodal_step(coef, grid, z_nodes, order, kind)
     mass = lambda w: w.sum(axis=0) * grid.dx
     return march(
         np.repeat(values[:, None], z_nodes.size, axis=1), step, steps, mass, "cell %d, node %d"

@@ -8,9 +8,7 @@ __all__ = ["ConfigurationError", "DivergenceError", "reject"]
 class ConfigurationError(ValueError):
     """Invalid experiment configuration; carries every violation found."""
 
-    def __init__(self, violations: list[str] | str):
-        if isinstance(violations, str):
-            violations = [violations]
+    def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

@@ -177,9 +177,12 @@ def test_divergence_exits_3_and_records_the_blowup(tmp_path, capsys):
     assert "status = diverged" in summary
     assert "step = 1" in summary
     assert "cell" in summary
+    # a diverged sweep leaves no output directory behind
+    sweep = write_config(tmp_path, CONV_SMALL + "\n[random]\nsigma = nan\n", "sweep_out", "sweep.cfg")
     for flags in (["--k", "0,1", "--ref", "2"], ["--dx", "0.05"]):
-        assert main(["sweep", cfg, *flags]) == 3
+        assert main(["sweep", sweep, *flags]) == 3
         assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_out").exists()
 
 
 def test_presets_lists_and_shows(tmp_path, capsys):
@@ -195,19 +198,27 @@ def test_presets_lists_and_shows(tmp_path, capsys):
 
 
 def test_sweep_flag_validation(tmp_path, capsys):
+    # a rejected sweep writes nothing, not even its output directory
+    out = tmp_path / "out"
     cfg = write_config(tmp_path, CONV_SMALL)
     assert main(["sweep", cfg]) == 2
+    assert not out.exists()
     assert main(["sweep", cfg, "--k", "0..2", "--dx", "0.1"]) == 2
+    assert not out.exists()
     assert main(["sweep", cfg, "--k", "0..2"]) == 2  # no --ref
+    assert not out.exists()
     assert main(["sweep", cfg, "--k", "2,2,2", "--ref", "4"]) == 2  # not monotone
+    assert not out.exists()
     capsys.readouterr()
     assert main(["sweep", cfg, "--k", ",", "--ref", "4"]) == 2
     assert "--k expects values like 2..20 or 2,4,8" in capsys.readouterr().err
+    assert not out.exists()
     # Liouville has no analytic solution to score a mesh against
     liou_text = LIOU_SMALL.replace("mode = deterministic", "mode = gpc_sg") + "\n[random]\nk = 2\n"
     liou = write_config(tmp_path, liou_text, name="liou.cfg")
     assert main(["sweep", liou, "--dx", "0.1,0.05"]) == 2
     assert "mesh sweeps need the analytic solution" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweeps_reject_a_quadrature_size(tmp_path, capsys):

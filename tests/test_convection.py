@@ -12,13 +12,14 @@ from stochhyp import (
     PROFILES,
     build_lambda_matrices,
     convection_errors,
+    convection_solve_nodal,
     gauss_rule,
+    project,
     run_convection,
 )
 from stochhyp.convection import (
     scheme_problems,
     step_first_order,
-    step_second_order,
     step_second_order_nodal,
 )
 from test_gpc import tridiagonal_coupling
@@ -34,6 +35,15 @@ def node_speeds(coef, grid, space):
     """Per-node (dt/dx)*c on each side of the jump, as the order-2 solve builds them."""
     nodes = space.rule.nodes
     return grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
+
+
+def sg_second_order_step(field, coef, grid, space, kind="arctan"):
+    """One order-2 SG step: evaluate at the space's nodes, step per node, project."""
+    lam_m, lam_p = node_speeds(coef, grid, space)
+    stepped = step_second_order_nodal(
+        field @ space.table, lam_m, lam_p, grid.dx, grid.interface_index, kind
+    )
+    return project(stepped, space)
 
 
 def errors(coef, grid, run, t_final, profile="cos_bump"):
@@ -254,7 +264,7 @@ def test_second_order_matches_first_order_on_flat_data():
     field = np.zeros((grid.cells, 3))
     field[:, 0] = 2.0
     first = step_first_order(field, lam_m, lam_p, grid.interface_index)
-    second = step_second_order(field, *node_speeds(coef, grid, space), grid, space)
+    second = sg_second_order_step(field, coef, grid, space)
     np.testing.assert_allclose(second, first, atol=1e-14)
 
 
@@ -264,8 +274,8 @@ def test_second_order_projection_insensitive_to_rule_size():
     bump = np.exp(-2.0 * (grid.centers + 0.8) ** 2)
     field = bump[:, None] * np.array([1.0, 0.3, 0.1, 0.03])
     default, dense = ChaosSpace.build(3), ChaosSpace.build(3, 40)
-    a = step_second_order(field, *node_speeds(coef, grid, default), grid, default)
-    b = step_second_order(field, *node_speeds(coef, grid, dense), grid, dense)
+    a = sg_second_order_step(field, coef, grid, default)
+    b = sg_second_order_step(field, coef, grid, dense)
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -274,9 +284,7 @@ def test_second_order_rejects_unknown_map():
     grid = small_grid()
     space = ChaosSpace.build(1)
     with pytest.raises(ConfigurationError):
-        step_second_order(
-            np.zeros((grid.cells, 2)), *node_speeds(coef, grid, space), grid, space, kind="superbee"
-        )
+        sg_second_order_step(np.zeros((grid.cells, 2)), coef, grid, space, kind="superbee")
 
 
 # --- exact solution ---
@@ -423,10 +431,25 @@ def test_run_rejects_a_chaos_rule_smaller_than_the_basis():
 def test_deterministic_reduction_is_bitwise():
     # no perturbation: every mode-0 column of the K=0 solve equals the
     # deterministic nodal march exactly
-    from stochhyp import convection_solve_nodal
-
     coef = InterfaceCoefficient(1.0, 2.0, 0.0)
     grid = ConvectionGrid.from_spacing(-2.0, 6.0, 0.05, 0.01)
     run = run_convection(coef, grid, 0, 0.5, quad_count=1)
     nodal, _ = convection_solve_nodal(coef, grid, np.array([0.0]), 0.5)
     np.testing.assert_array_equal(run.coeffs[:, 0], nodal[:, 0])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_galerkin_equals_projected_gauss_collocation(order, k):
+    # c is linear in z, so on the (k + 1)-node Gauss rule the Galerkin matrix of
+    # c is V diag(c(z_q)) V^T with V orthogonal: order-1 SG is (k + 1)-node
+    # collocation in another basis.  At order 2 with m = k + 1, evaluate then
+    # project is the identity on node values, so the same holds.
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = small_grid()
+    space = ChaosSpace.build(k, k + 1)
+    m = None if order == 1 else k + 1  # order 1 keeps its default Galerkin rule
+    sg = run_convection(coef, grid, k, 0.4, order=order, quad_count=m)
+    nodal, _ = convection_solve_nodal(coef, grid, space.rule.nodes, 0.4, order=order)
+    np.testing.assert_allclose(sg.coeffs, project(nodal, space), rtol=0, atol=1e-12)
+

@@ -730,6 +730,19 @@ def test_gpc_moments_match_collocation_on_short_runs():
     assert dev / scale < 1e-8
 
 
+@pytest.mark.parametrize("order, integrator", [(1, "euler"), (1, "rk2"), (2, "euler")])
+@pytest.mark.parametrize("k", [2, 4])
+def test_galerkin_equals_projected_gauss_collocation(order, integrator, k):
+    # the force is linear in z: order-1 SG is (k + 1)-node Gauss collocation in
+    # another basis, and so is order 2 on a rule of m = k + 1 nodes
+    grid = unit_grid(nx=20, nv=20, dt=0.01)
+    space = ChaosSpace.build(k, k + 1)
+    m = None if order == 1 else k + 1  # order 1 keeps its default Galerkin rule
+    sg = liouville_solve_gpc(grid, STEP, k, 0.1, order, integrator, quad_count=m)
+    col = liouville_solve_nodal(grid, STEP, space.rule.nodes, 0.1, order, integrator)
+    np.testing.assert_allclose(sg.field, project(col.field, space), rtol=0, atol=1e-12)
+
+
 def test_sine_profile_and_callable_profile():
     grid = unit_grid(nx=40, nv=40)
     run = liouville_solve_nodal(grid, STEP, np.array([0.0]), 0.02, profile="sine_disk")

@@ -4,12 +4,13 @@ Usage (from the repository root):
 
     python3 tools/snapshot_outputs.py OUT_DIR
 
-Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on fourteen
+Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on fifteen
 preset variants (`VARIANTS`: order-2 collocation and deterministic runs of
-both problems, the `tanh` and `sqrt_rational` limiters, `example2_order1`
-with the potential step reversed, made too high to climb, and removed, rk2
-runs of `example2_order1` and `example2_collocation`, `example2_order1`
-with `vflux = ratio`, `example2_order1` and `example2_order2` on a v
+both problems, `example1_order2` on a rule of m = k + 1 = 21 nodes, the
+`tanh` and `sqrt_rational` limiters, `example2_order1` with the potential
+step reversed, made too high to climb, and removed, rk2 runs of
+`example2_order1` and `example2_collocation`, `example2_order1` with
+`vflux = ratio`, `example2_order1` and `example2_order2` on a v
 window narrow enough that density reaches its boundary rows, and
 `example2_order2` on x in [-1.92, 2.1], which moves the barrier to x-edge
 64 of 134: there a block boundary of the step's 16-row blocks, which end
@@ -41,16 +42,18 @@ from stochhyp import cli  # noqa: E402
 from stochhyp.config import PRESETS  # noqa: E402
 
 # name -> (preset, config lines after it); these reach the order-2 nodal step
-# outside gPC, the limiter maps that no preset uses, the barrier stencil's
-# truncated, all-reflecting and no-jump rows, the rk2 stages of the gPC and
-# nodal steps, the ratio v-flux, the boundary edges of both v-fluxes, and
-# the barrier on a boundary between two blocks of x-rows
+# outside gPC, the order-2 SG step on a rule other than the default (there
+# it is (k + 1)-node collocation), the limiter maps that no preset uses, the
+# barrier stencil's truncated, all-reflecting and no-jump rows, the rk2
+# stages of the gPC and nodal steps, the ratio v-flux, the boundary edges of
+# both v-fluxes, and the barrier on a boundary between two blocks of x-rows
 VARIANTS = {
     "convection_order2_collocation": ("example1_collocation", "order = 2\n[random]\nm = 6\n"),
     "convection_order2_deterministic": (
         "example1_order1",
         "mode = deterministic\norder = 2\nlimiter = sqrt_rational\n[random]\nz = 0.3\n",
     ),
+    "convection_order2_m_k1": ("example1_order2", "[random]\nm = 21\n"),
     "convection_order2_tanh": ("example1_order2", "limiter = tanh\n"),
     "liouville_order2_collocation": ("example2_collocation", "order = 2\n[random]\nm = 5\n"),
     "liouville_order2_deterministic": ("example2_deterministic", "order = 2\nlimiter = tanh\n"),
