@@ -319,15 +319,14 @@ def _row_blocks(grid: PhaseSpaceGrid, n: int):
 # of `diffs` is the jump across x-edge a + d - 1/2, one contiguous
 # difference of whole rows; x-row i takes the upper half of its left edge,
 # diffs[i - a], and the lower half of its right edge, diffs[i - a + 1].  The
-# inflow edge -1/2, the outflow edge nx - 1/2 and the barrier edge ir - 1/2
-# are rewritten first.  The x speed then scales whole rows, and each half is
-# copied into place: numpy copies half rows about as fast as whole ones, but
-# computes on them more slowly.
+# boundary edges -1/2 and nx - 1/2, whose ghosts hold the boundary rows' own
+# states, and the barrier edge ir - 1/2 are rewritten first.  The x speed
+# then scales whole rows, and each half is copied into place: numpy copies
+# half rows about as fast as whole ones, but computes on them more slowly.
 
 
 def _rhs_block(
-    u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, diagnostics, work,
-    space=None,
+    u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, work, space=None
 ) -> None:
     """Fill rows [a, b) of `out`; with a chaos `space`, u holds coefficients to project."""
     nx, half = grid.nx, grid.nv // 2
@@ -362,9 +361,9 @@ def _rhs_block(
         upwind[first - lo : last - lo], upwind[first - 1 - lo : last - 1 - lo],
         out=diffs[first - a : last - a],
     )
-    if a == 0:  # inflow: no state enters through edge -1/2
+    if a == 0:  # v > 0 enters through edge -1/2; its ghost is row 0's state
         np.subtract(upwind[0], slab[0], out=diffs[0])
-    if b == nx:  # outflow: none through edge nx - 1/2
+    if b == nx:  # v < 0 enters through edge nx - 1/2; its ghost is row nx - 1's state
         np.subtract(slab[-1], upwind[-1], out=diffs[-1])
     if a <= ir <= b:
         # the full edge states the barrier gather reads: the right edge of
@@ -387,8 +386,7 @@ def _rhs_block(
             ghost = stencil.left_side.gather(left_ir, right_il)
             np.subtract(ghost, upwind[il - lo, :half], out=diffs[ir - a, :half])
             events += stencil.left_side.live_truncations(left_ir)
-        if diagnostics is not None:
-            diagnostics["truncation_events"] = diagnostics.get("truncation_events", 0) + events
+        work.counts["truncation_events"] += events
 
     diffs *= speed
     rates = out[a:b] if space is None else work.buffer("nodal_rates", (b - a,) + slab.shape[1:])
@@ -405,6 +403,16 @@ def _rhs_block(
         project(rates, space, out=out[a:b])
 
 
+def _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work, space=None):
+    """The right-hand side in `work`'s "rhs" buffer, one block of x-rows at a time."""
+    out = work.buffer("rhs", u.shape)
+    for a, b in _row_blocks(grid, u.shape[-1] if space is None else space.count):
+        _rhs_block(
+            u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, work, space
+        )
+    return out
+
+
 def rhs_nodal(
     u: np.ndarray,
     grid: PhaseSpaceGrid,
@@ -414,22 +422,16 @@ def rhs_nodal(
     order: int = 1,
     kind: str = "arctan",
     vflux_variant: str = "product",
-    diagnostics: dict | None = None,
     work: Workspace | None = None,
 ) -> np.ndarray:
     """Time derivative of u, shape (nx, nv, n), in `work`'s "rhs" buffer.
 
     `force` acts on the last axis.  Nodal values take the force per node.
     Order 1, linear in u, steps gPC coefficients exactly with the force's
-    Galerkin matrix; order 2 is nodal only.
+    Galerkin matrix; order 2 is nodal only.  Barrier events go to `work.counts`.
     """
     work = Workspace() if work is None else work
-    out = work.buffer("rhs", u.shape)
-    for a, b in _row_blocks(grid, u.shape[-1]):
-        _rhs_block(
-            u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, diagnostics, work
-        )
-    return out
+    return _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work)
 
 
 def advance(
@@ -531,8 +533,8 @@ def _set_up_solve(
     vflux_variant: str,
     z_nodes=(),
     problems=(),
-) -> tuple[int, float, BarrierStencil, np.ndarray]:
-    """Validate a solve with the caller's `problems`; return steps, alpha, stencil, values.
+) -> tuple[int, float, BarrierStencil, np.ndarray, Workspace]:
+    """Validate a solve with the caller's `problems`; return steps, alpha, stencil, values, work.
 
     Problems are listed in config's order: step count, the caller's, the scheme's.
     """
@@ -546,7 +548,9 @@ def _set_up_solve(
     reject(found)
     init = profile if callable(profile) else PHASE_PROFILES[profile]
     values = init(grid.x_centers[:, None], grid.v_centers[None, :])
-    return steps, alpha, BarrierStencil.build(grid, barrier), values
+    stencil, work = BarrierStencil.build(grid, barrier), Workspace()
+    work.counts.update(stencil_truncations=stencil.static_truncations, truncation_events=0)
+    return steps, alpha, stencil, values, work
 
 
 def liouville_solve_nodal(
@@ -563,25 +567,20 @@ def liouville_solve_nodal(
 ) -> LiouvilleRun:
     """March the nodal scheme at fixed z samples; field shape (nx, nv, nodes)."""
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
-    steps, alpha, stencil, values = _set_up_solve(
+    steps, alpha, stencil, values, work = _set_up_solve(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
         z_nodes=z_nodes,
     )
 
-    diag = {"truncation_events": 0}
     force = barrier.force(z_nodes)
-    work = Workspace()
-    rhs = lambda w: rhs_nodal(
-        w, grid, stencil, force, alpha, order, kind, vflux_variant, diag, work
-    )
+    rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, order, kind, vflux_variant, work)
     step = lambda w: advance(w, grid.dt, rhs, integrator, work)
     mass = lambda w: w.sum(axis=(0, 1)) * (grid.dx * grid.dv)
     u, diagnostics = march(
         np.repeat(values[:, :, None], z_nodes.size, axis=2), step, steps, mass,
         "cell (%d, %d), node %d", track_range=True,
     )
-    diagnostics["stencil_truncations"] = stencil.static_truncations
-    diagnostics["truncation_events"] = diag["truncation_events"]
+    diagnostics.update(work.counts)
     return LiouvilleRun(u, diagnostics)
 
 
@@ -592,7 +591,6 @@ def galerkin_rhs(
     stencil: BarrierStencil,
     kind: str,
     space: ChaosSpace,
-    diagnostics: dict | None = None,
     work: Workspace | None = None,
 ) -> np.ndarray:
     """Order-2 time derivative of the coefficient field: evaluate, step, project.
@@ -602,14 +600,8 @@ def galerkin_rhs(
     """
     work = Workspace() if work is None else work
     force = work.derived("force", lambda: barrier.force(space.rule.nodes))
-    out = work.buffer("rhs", field.shape)
-    for a, b in _row_blocks(grid, space.count):
-        # alpha: the order-2 v-flux has no LF viscosity
-        _rhs_block(
-            field, a, b, out, grid, stencil, force, 0.0, 2, kind, "product", diagnostics, work,
-            space,
-        )
-    return out
+    # alpha: the order-2 v-flux has no LF viscosity
+    return _rhs(field, grid, stencil, force, 0.0, 2, kind, "product", work, space)
 
 
 def liouville_solve_gpc(
@@ -626,26 +618,21 @@ def liouville_solve_gpc(
     vflux_variant: str = "product",
 ) -> LiouvilleRun:
     """March the gPC coefficient field; field shape (nx, nv, k + 1)."""
-    steps, alpha, stencil, values = _set_up_solve(
+    steps, alpha, stencil, values, work = _set_up_solve(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
         problems=chaos_problems(k, quad_count),
     )
     space = ChaosSpace.build(k, quad_count)
 
-    diag = {"truncation_events": 0}
-    work = Workspace()
     if order == 1:
         force = galerkin_matrix(barrier.force, space)
-        rhs = lambda w: rhs_nodal(
-            w, grid, stencil, force, alpha, 1, kind, vflux_variant, diag, work
-        )
+        rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, 1, kind, vflux_variant, work)
     else:
-        rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, diag, work)
+        rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, work)
     step = lambda w: advance(w, grid.dt, rhs, integrator, work)
     mass = lambda w: float(w[:, :, 0].sum() * (grid.dx * grid.dv))
     field, diagnostics = march(
         deterministic_coeffs(values, k), step, steps, mass, "cell (%d, %d), mode %d"
     )
-    diagnostics["stencil_truncations"] = stencil.static_truncations
-    diagnostics["truncation_events"] = diag["truncation_events"]
+    diagnostics.update(work.counts)
     return LiouvilleRun(field, diagnostics)

@@ -8,6 +8,7 @@ arrays.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -28,12 +29,14 @@ class Workspace:
     workspace is overwritten by that function's next call.
 
     A workspace serves one solve, whose grid, barrier and chaos space stay
-    fixed: `derived` computes each invariant once and keeps it.
+    fixed: `derived` computes each invariant once and keeps it.  `counts` is
+    the solve's ledger: the tallies its steps add, which the solver reports.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray | None] = {}
         self._derived: dict[str, object] = {}
+        self.counts: Counter = Counter()
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._buffers.get(name)

@@ -1,6 +1,7 @@
 """Phase-space solver: barrier stencil, fluxes, stepping, and conservation."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -428,17 +429,17 @@ def edge_grid(edge, nx=12, nv=8):
     return PhaseSpaceGrid(-0.25 * edge, 0.25 * (nx - edge), 1.0, nx, nv, 0.01)
 
 
-def block_rhs_pair(kind, order, grid, stencil, space, diag, ref_diag, work):
+def block_rhs_pair(kind, order, grid, stencil, space, ref_diag, work):
     """The block right-hand side and its whole-grid reference, for one kind of field."""
     if kind == "gpc" and order == 2:
         return (
-            lambda w: liouville.galerkin_rhs(w, grid, STEP, stencil, "tanh", space, diag, work),
+            lambda w: liouville.galerkin_rhs(w, grid, STEP, stencil, "tanh", space, work),
             lambda w: whole_grid_galerkin_rhs(w, grid, STEP, stencil, "tanh", space, ref_diag),
         )
     force = galerkin_matrix(STEP.force, space) if kind == "gpc" else STEP.force([-0.8, 0.1, 0.9])
     args = (grid, stencil, force, 0.3, order, "tanh")
     return (
-        lambda w: rhs_nodal(w, *args, diagnostics=diag, work=work),
+        lambda w: rhs_nodal(w, *args, work=work),
         lambda w: whole_grid_rhs_nodal(w, *args, diagnostics=ref_diag),
     )
 
@@ -461,17 +462,15 @@ def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
             monkeypatch.setattr(liouville, "_BLOCK_BYTES", height * grid.nv * nodes * 8)
             assert next(liouville._row_blocks(grid, nodes)) == (0, height)
             for integrator in ("euler", "rk2"):
-                diag, ref_diag = {}, {}
+                ref_diag = {}
                 work = Workspace()
-                rhs, reference = block_rhs_pair(
-                    kind, order, grid, stencil, space, diag, ref_diag, work
-                )
+                rhs, reference = block_rhs_pair(kind, order, grid, stencil, space, ref_diag, work)
                 field = ref = start
                 for _ in range(3):
                     field = advance(field, grid.dt, rhs, integrator, work)
                     ref = advance(ref, grid.dt, reference, integrator)
                     same_bits(field, ref)
-                assert diag["truncation_events"] == ref_diag["truncation_events"] > 0
+                assert work.counts["truncation_events"] == ref_diag["truncation_events"] > 0
 
 
 def test_rigid_step_stencil_reflects_one_way():
@@ -538,13 +537,20 @@ def test_rk2_solve_matches_a_hand_loop_of_advance_bitwise(solver):
         run = liouville_solve_nodal(grid, STEP, z, 0.02, integrator="rk2")
         force = STEP.force(z)
         field = np.repeat(values[:, :, None], z.size, axis=2)
-    diag = {"truncation_events": 0}
-    rhs = lambda w: rhs_nodal(w, grid, stencil, force, STEP.max_force, diagnostics=diag)
+    counts = Counter()
+
+    def rhs(w):
+        # a fresh workspace per call, whose ledger is summed
+        work = Workspace()
+        out = rhs_nodal(w, grid, stencil, force, STEP.max_force, work=work)
+        counts.update(work.counts)
+        return out
+
     for _ in range(run.diagnostics["steps"]):
         field = advance(field, grid.dt, rhs, "rk2")
     assert run.diagnostics["steps"] == 10
     np.testing.assert_array_equal(run.field, field)
-    assert run.diagnostics["truncation_events"] == diag["truncation_events"] > 0
+    assert run.diagnostics["truncation_events"] == counts["truncation_events"] > 0
 
 
 def test_rk2_refuses_a_rhs_whose_workspace_it_was_not_given():
@@ -638,12 +644,12 @@ def test_galerkin_rhs_rejects_small_rule():
         ChaosSpace.build(3, 2)
 
 
-def evaluate_step_project(field, grid, barrier, stencil, alpha, space, vflux, diagnostics):
+def evaluate_step_project(field, grid, barrier, stencil, alpha, space, vflux, work):
     # the order-1 Galerkin step through the nodes: the reference for the
     # coefficient-space step
     nodal = rhs_nodal(
         field @ space.table, grid, stencil, barrier.force(space.rule.nodes), alpha,
-        vflux_variant=vflux, diagnostics=diagnostics,
+        vflux_variant=vflux, work=work,
     )
     return project(nodal, space)
 
@@ -657,14 +663,14 @@ def test_order1_rhs_in_coefficient_space_matches_evaluate_step_project(m, vflux)
     assert stencil.static_truncations > 0
     space = ChaosSpace.build(5, m)
     field = np.random.default_rng(3).standard_normal((24, 24, 6))
-    got_diag, ref_diag = {}, {}
+    got_work, ref_work = Workspace(), Workspace()
     got = rhs_nodal(
         field, grid, stencil, galerkin_matrix(STEP.force, space), 0.1,
-        vflux_variant=vflux, diagnostics=got_diag,
+        vflux_variant=vflux, work=got_work,
     )
-    ref = evaluate_step_project(field, grid, STEP, stencil, 0.1, space, vflux, ref_diag)
+    ref = evaluate_step_project(field, grid, STEP, stencil, 0.1, space, vflux, ref_work)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert got_diag["truncation_events"] == ref_diag["truncation_events"] > 0
+    assert got_work.counts["truncation_events"] == ref_work.counts["truncation_events"] > 0
 
 
 def test_order1_rk2_solve_in_coefficient_space_matches_evaluate_step_project():
@@ -673,16 +679,17 @@ def test_order1_rk2_solve_in_coefficient_space_matches_evaluate_step_project():
     run = liouville_solve_gpc(grid, STEP, 4, 0.02, integrator="rk2", profile=gaussian)
     space = ChaosSpace.build(4)
     stencil = BarrierStencil.build(grid, STEP)
-    diag = {"truncation_events": 0}
+    # project returns a fresh array, so the two stage slopes never share one
+    work = Workspace()
     rhs = lambda w: evaluate_step_project(
-        w, grid, STEP, stencil, STEP.max_force, space, "product", diag
+        w, grid, STEP, stencil, STEP.max_force, space, "product", work
     )
     field = deterministic_coeffs(gaussian(grid.x_centers[:, None], grid.v_centers[None, :]), 4)
     for _ in range(run.diagnostics["steps"]):
         field = advance(field, grid.dt, rhs, "rk2")
     assert run.diagnostics["steps"] == 10
     assert np.max(np.abs(run.field - field)) <= 1e-13 * np.max(np.abs(field))
-    assert run.diagnostics["truncation_events"] == diag["truncation_events"] > 0
+    assert run.diagnostics["truncation_events"] == work.counts["truncation_events"] > 0
 
 
 # --- full solves ---
