@@ -24,7 +24,6 @@ from .convection import (
     ConvectionGrid,
     ConvectionRun,
     InterfaceCoefficient,
-    build_lambda_matrices,
     convection_errors,
     convection_solve_nodal,
     run_convection,

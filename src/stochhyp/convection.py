@@ -2,10 +2,10 @@
 
 The wave speed is piecewise constant in x with a jump at x = 0 and a linear
 perturbation in the random variable z.  The fully discrete immersed upwind
-scheme is projected onto the orthonormal Legendre basis, so the unknowns are
-per-cell coefficient vectors; its nodal twin marches the same scheme at fixed
-samples of z.  The module also carries the exact solution by characteristics
-and quadrature oracles for its moments.
+scheme is projected onto the orthonormal Legendre basis: the SG solve marches
+samples at its Gauss rule and projects them once, and its nodal twin marches
+the same scheme at any fixed samples of z.  The module also carries the exact
+solution by characteristics and quadrature oracles for its moments.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .gpc import (
     ChaosSpace,
     QuadratureRule,
     chaos_problems,
-    deterministic_coeffs,
-    galerkin_matrix,
     gauss_rule,
     project,
     times,
@@ -43,7 +41,6 @@ __all__ = [
     "PROFILES",
     "AnalyticConvectionSolution",
     "ConvectionRun",
-    "build_lambda_matrices",
     "scheme_problems",
     "step_first_order",
     "step_second_order_nodal",
@@ -127,15 +124,6 @@ class ConvectionGrid:
         return self.dt / self.dx
 
 
-def build_lambda_matrices(
-    coef: InterfaceCoefficient, grid: ConvectionGrid, space: ChaosSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Galerkin matrices of (dt/dx)*c(x, z) on each side of the jump."""
-    lam_minus = grid.ratio * galerkin_matrix(coef.left, space)
-    lam_plus = grid.ratio * galerkin_matrix(coef.right, space)
-    return lam_minus, lam_plus
-
-
 def _upwind(
     field: np.ndarray, states: np.ndarray, lam_minus: np.ndarray, lam_plus: np.ndarray, i: int
 ) -> np.ndarray:
@@ -190,8 +178,8 @@ def step_second_order_nodal(
 def _nodal_step(coef, grid, nodes, order, kind) -> Callable[[np.ndarray], np.ndarray]:
     """The scheme of `order` as a step of (cells, nodes) samples, speeds (dt/dx)*c(x, z_q).
 
-    The order-2 SG step is this step at the rule's nodes between one evaluate
-    and one project, so the limiter acts per node.
+    The order-2 SG step is this step at the rule's nodes followed by a filter
+    to degree k (project, then evaluate), so the limiter acts per node.
     """
     lam_m, lam_p = grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
     if order == 1:
@@ -351,22 +339,22 @@ def run_convection(
     quad_count: int | None = None,
     kind: str = "arctan",
 ) -> ConvectionRun:
-    """March the gPC-SG scheme to t_final; coefficients shape (cells, k + 1)."""
+    """March the gPC-SG scheme to t_final; coefficients shape (cells, k + 1).
+
+    Samples at Gauss nodes are marched and projected once: order 1, linear in z,
+    is SG exactly on k + 1 nodes whatever `quad_count`; order 2 filters to degree k.
+    """
     steps, values = _set_up_solve(
         coef, grid, t_final, order, profile, kind, problems=chaos_problems(k, quad_count)
     )
-    space = ChaosSpace.build(k, quad_count)
-
-    if order == 1:
-        lam_minus, lam_plus = build_lambda_matrices(coef, grid, space)
-        step = lambda f: step_first_order(f, lam_minus, lam_plus, grid.interface_index)
-    else:
-        nodal = _nodal_step(coef, grid, space.rule.nodes, order, kind)
-        step = lambda f: project(nodal(f @ space.table), space)
-    mass = lambda f: float(np.sum(f[:, 0]) * grid.dx)
-    return ConvectionRun(
-        *march(deterministic_coeffs(values, k), step, steps, mass, "cell %d, mode %d")
+    space = ChaosSpace.build(k, k + 1 if order == 1 else quad_count)
+    nodal = _nodal_step(coef, grid, space.rule.nodes, order, kind)
+    step = nodal if order == 1 else lambda w: project(nodal(w), space) @ space.table
+    mass = lambda w: float((w @ space.rule.weights).sum() * grid.dx)
+    samples, diagnostics = march(
+        np.repeat(values[:, None], space.count, axis=1), step, steps, mass, "cell %d, node %d"
     )
+    return ConvectionRun(project(samples, space), diagnostics)
 
 
 def convection_solve_nodal(

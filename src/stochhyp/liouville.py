@@ -538,8 +538,7 @@ def _set_up_solve(
 
     Problems are listed in config's order: step count, the caller's, the scheme's.
     """
-    if alpha is None:
-        alpha = barrier.max_force
+    alpha = barrier.max_force if alpha is None or order == 2 else alpha
     steps, found = time_steps(t_final, grid.dt)
     found += problems
     found += scheme_problems(
@@ -565,7 +564,10 @@ def liouville_solve_nodal(
     kind: str = "arctan",
     vflux_variant: str = "product",
 ) -> LiouvilleRun:
-    """March the nodal scheme at fixed z samples; field shape (nx, nv, nodes)."""
+    """March the nodal scheme at fixed z samples; field shape (nx, nv, nodes).
+
+    `alpha`, the order-1 LF viscosity, defaults to the largest |force|; order 2 ignores it.
+    """
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
     steps, alpha, stencil, values, work = _set_up_solve(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
@@ -617,7 +619,7 @@ def liouville_solve_gpc(
     kind: str = "arctan",
     vflux_variant: str = "product",
 ) -> LiouvilleRun:
-    """March the gPC coefficient field; field shape (nx, nv, k + 1)."""
+    """March the gPC coefficients, shape (nx, nv, k + 1); `alpha` as in `liouville_solve_nodal`."""
     steps, alpha, stencil, values, work = _set_up_solve(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
         problems=chaos_problems(k, quad_count),

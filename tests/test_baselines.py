@@ -103,7 +103,7 @@ def small_phase_grid():
 @pytest.mark.parametrize(
     "solve, tag",
     [
-        (lambda: run_convection(NAN_COEF, convection_grid(), 2, 0.5), "mode"),
+        (lambda: run_convection(NAN_COEF, convection_grid(), 2, 0.5), "node"),
         (lambda: convection_solve_nodal(NAN_COEF, convection_grid(), [0.0], 0.5), "node"),
         (
             lambda: liouville_solve_gpc(

@@ -10,9 +10,9 @@ from stochhyp import (
     ConvectionGrid,
     InterfaceCoefficient,
     PROFILES,
-    build_lambda_matrices,
     convection_errors,
     convection_solve_nodal,
+    galerkin_matrix,
     gauss_rule,
     project,
     run_convection,
@@ -22,6 +22,7 @@ from stochhyp.convection import (
     step_first_order,
     step_second_order_nodal,
 )
+from stochhyp.gpc import deterministic_coeffs
 from test_gpc import tridiagonal_coupling
 
 COS = PROFILES["cos_bump"]
@@ -29,6 +30,13 @@ COS = PROFILES["cos_bump"]
 
 def small_grid(dx=0.05, dt=0.01, a=-1.0, b=1.0):
     return ConvectionGrid.from_spacing(a, b, dx, dt)
+
+
+def build_lambda_matrices(coef, grid, space):
+    """Galerkin matrices of (dt/dx)*c(x, z) on each side of the jump: the paper's SG system."""
+    lam_minus = grid.ratio * galerkin_matrix(coef.left, space)
+    lam_plus = grid.ratio * galerkin_matrix(coef.right, space)
+    return lam_minus, lam_plus
 
 
 def node_speeds(coef, grid, space):
@@ -353,8 +361,9 @@ def test_run_at_time_zero_reports_projection_only():
     grid = ConvectionGrid.from_spacing(-2.0, 6.0, 0.05, 0.01)
     run = run_convection(coef, grid, 3, 0.0)
     assert run.diagnostics["steps"] == 0
-    # deterministic initial data lives in mode 0 alone
-    np.testing.assert_array_equal(run.coeffs[:, 1:], 0.0)
+    # deterministic initial data lives in mode 0 alone, up to the roundoff of
+    # projecting node-constant samples
+    assert np.max(np.abs(run.coeffs[:, 1:])) <= 1e-15 * np.max(np.abs(COS.func(grid.centers)))
     np.testing.assert_allclose(run.coeffs[:, 0], COS.func(grid.centers), atol=1e-14)
     assert errors(coef, grid, run, 0.0)["l1_total"] == pytest.approx(0.0, abs=1e-12)
 
@@ -448,8 +457,25 @@ def test_galerkin_equals_projected_gauss_collocation(order, k):
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
     space = ChaosSpace.build(k, k + 1)
-    m = None if order == 1 else k + 1  # order 1 keeps its default Galerkin rule
+    m = None if order == 1 else k + 1  # order 1 runs on k + 1 nodes whatever m
     sg = run_convection(coef, grid, k, 0.4, order=order, quad_count=m)
     nodal, _ = convection_solve_nodal(coef, grid, space.rule.nodes, 0.4, order=order)
     np.testing.assert_allclose(sg.coeffs, project(nodal, space), rtol=0, atol=1e-12)
 
+
+@pytest.mark.parametrize("k", [0, 3, 8])
+def test_order1_run_matches_a_march_of_the_galerkin_system(k):
+    # the solve marches Gauss samples; the paper's SG system steps coefficients
+    # through the Galerkin matrices of the speed.  On the (k + 1)-node rule the
+    # two agree to roundoff, on any larger rule they do not
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = ConvectionGrid.from_spacing(-1.0, 1.0, 0.01, 0.002)
+    assert grid.cells == 200
+    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(k))
+    field = deterministic_coeffs(COS.func(grid.centers), k)
+    for _ in range(100):
+        field = step_first_order(field, lam_m, lam_p, grid.interface_index)
+    run = run_convection(coef, grid, k, 100 * grid.dt)
+    assert run.diagnostics["steps"] == 100
+    scale = np.max(np.abs(field))
+    assert np.max(np.abs(run.coeffs - field)) <= 1e-13 * scale

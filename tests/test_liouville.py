@@ -776,6 +776,26 @@ def test_solver_validation_messages():
         liouville_solve_gpc(grid, STEP, -2, 0.1)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda grid, alpha: liouville_solve_nodal(grid, STEP, [0.5], 0.05, order=2, alpha=alpha),
+        lambda grid, alpha: liouville_solve_gpc(grid, STEP, 3, 0.05, order=2, alpha=alpha),
+    ],
+    ids=["nodal", "gpc"],
+)
+def test_order2_ignores_the_lf_viscosity(solve):
+    # the order-2 v-flux has no LF viscosity: an alpha below the largest
+    # |force|, or one past the CFL bound at order 1, changes nothing
+    grid = PhaseSpaceGrid(-2.0, 2.0, 2.0, 20, 20, 0.025)
+    with pytest.raises(ConfigurationError, match="CFL"):
+        liouville_solve_nodal(grid, STEP, [0.5], 0.05, alpha=10.0)
+    reference = solve(grid, None)
+    for alpha in (0.01, 10.0):
+        run = solve(grid, alpha)
+        np.testing.assert_array_equal(run.field, reference.field)
+
+
 def test_small_chaos_rule_is_rejected_before_the_first_step(monkeypatch):
     import stochhyp.liouville as liouville
 
