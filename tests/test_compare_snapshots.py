@@ -47,5 +47,5 @@ def test_compare_names_a_missing_file(tmp_path):
     old = snapshot(tmp_path / "old")
     new = snapshot(tmp_path / "new")
     (new / "example" / "coeffs.csv").unlink()
-    [(label, measure, _)] = compare_snapshots.compare(old, new, 1e-13, 1e-11)
+    [(label, measure, _)] = compare_snapshots.compare(old, new)
     assert label == "file set: example/coeffs.csv" and measure == float("inf")

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/compare_snapshots.py OLD NEW [--rtol 1e-13] [--log-rtol 1e-11]
+    python3 tools/compare_snapshots.py OLD NEW
 
 OLD and NEW are directories written by `tools/snapshot_outputs.py`.  Where
 `diff -r` asks for byte identity, this asks for:
@@ -12,8 +12,8 @@ OLD and NEW are directories written by `tools/snapshot_outputs.py`.  Where
   values, each `mass_drift_*` value within 1e-13 absolute and every other
   number within 1e-12 relative;
 - in each CSV, the same header and shape, and a largest |new - old| of at
-  most `--rtol` times the file's largest |old| (`--log-rtol` for the
-  `*_loglog.csv` files of the sweeps, whose logarithms amplify roundoff);
+  most 1e-13 times the file's largest |old| (1e-11 for the `*_loglog.csv`
+  files of the sweeps, whose logarithms amplify roundoff);
 - every other file byte for byte.
 
 Each difference is printed with its measure and tolerance: the ratio above
@@ -33,6 +33,8 @@ import numpy as np
 
 MASS_DRIFT_ATOL = 1e-13
 RUN_RTOL = 1e-12
+CSV_RTOL = 1e-13
+LOGLOG_RTOL = 1e-11
 
 
 def _files(root: Path) -> set[str]:
@@ -80,7 +82,7 @@ def _csv_ratio(old: Path, new: Path) -> float:
     return worst / scale if scale else np.inf
 
 
-def compare(old: Path, new: Path, rtol: float, log_rtol: float) -> list[tuple[str, float, float]]:
+def compare(old: Path, new: Path) -> list[tuple[str, float, float]]:
     """(label, measure, tolerance) of every difference between two snapshots."""
     names = _files(old)
     if names != _files(new):
@@ -91,7 +93,7 @@ def compare(old: Path, new: Path, rtol: float, log_rtol: float) -> list[tuple[st
         if name.endswith(".csv"):
             ratio = _csv_ratio(a, b)
             if ratio:
-                found.append((name, ratio, log_rtol if name.endswith("_loglog.csv") else rtol))
+                found.append((name, ratio, LOGLOG_RTOL if name.endswith("_loglog.csv") else CSV_RTOL))
         elif a.name == "run.txt":
             found += [("%s %s" % (name, key), m, tol) for key, m, tol in _run_txt(a, b)]
         elif a.read_bytes() != b.read_bytes():
@@ -103,12 +105,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="snapshot of the reference checkout")
     parser.add_argument("new", type=Path, help="snapshot of the changed checkout")
-    parser.add_argument("--rtol", type=float, default=1e-13, help="CSV tolerance (default 1e-13)")
-    parser.add_argument(
-        "--log-rtol", type=float, default=1e-11, help="*_loglog.csv tolerance (default 1e-11)"
-    )
     args = parser.parse_args(argv)
-    found = compare(args.old, args.new, args.rtol, args.log_rtol)
+    found = compare(args.old, args.new)
     for label, measure, tol in found:
         verdict = "ok" if measure <= tol else "FAIL"
         print("%-60s %9.2g  tol %.0e  %s" % (label, measure, tol, verdict))
