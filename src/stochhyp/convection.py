@@ -33,6 +33,7 @@ from .metrics import (
     moments_from_samples,
     nodal_h_norm,
 )
+from .workspace import Workspace
 
 __all__ = [
     "InterfaceCoefficient",
@@ -125,16 +126,30 @@ class ConvectionGrid:
 
 
 def _upwind(
-    field: np.ndarray, states: np.ndarray, lam_minus: np.ndarray, lam_plus: np.ndarray, i: int
+    field: np.ndarray,
+    states: np.ndarray,
+    lam_minus: np.ndarray,
+    lam_plus: np.ndarray,
+    i: int,
+    work: Workspace,
 ) -> np.ndarray:
     # g[j] is the flux through the right edge of cell j: the upwind cell's state
     # times the speed on that cell's side of the jump.  Keep the grouping
     # (u_j - g_j) + g_{j-1}: the bitwise reduction identities between solver
     # paths (acceptance criterion 10) rely on it
-    g = np.empty_like(states)
-    g[: i + 1] = times(states[: i + 1], lam_minus)
-    g[i + 1 :] = times(states[i + 1 :], lam_plus)
-    out = field - g
+    g = work.buffer("flux", states.shape)
+    if lam_minus.ndim == 1:
+        speeds = work.derived(
+            "cell_speeds",
+            lambda: np.where((np.arange(len(states)) <= i)[:, None], lam_minus, lam_plus),
+        )
+        np.multiply(states, speeds, out=g)
+    else:
+        g[: i + 1] = times(states[: i + 1], lam_minus)
+        g[i + 1 :] = times(states[i + 1 :], lam_plus)
+    # from the second step of a solve on, `field` is this buffer: the update
+    # runs in place, which is safe because g holds every flux already
+    out = np.subtract(field, g, out=work.buffer("state", field.shape))
     out[1:] += g[:-1]
     return out
 
@@ -144,6 +159,7 @@ def step_first_order(
     lam_minus: np.ndarray,
     lam_plus: np.ndarray,
     interface_index: int,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """One step of the immersed upwind scheme on chaos coefficients or nodal samples.
 
@@ -154,11 +170,16 @@ def step_first_order(
     (j <= interface_index) and L+ to its right.  The flux through the jump is
     the left cell's, so the update conserves mass.  Inflow ghosts are zero
     (compact support).
+
+    The new state is `work`'s "state" buffer, which may be `field` itself; per-node
+    speeds become a (cells, nodes) table that `work` keeps.  Without `work` the
+    step runs on a throwaway workspace and returns a new array.
     """
     field = np.asarray(field, dtype=float)
     if field.ndim != 2 or field.shape[1] != lam_minus.shape[0]:
         raise ValueError("field shape does not match the speed operators")
-    return _upwind(field, field, lam_minus, lam_plus, interface_index)
+    work = Workspace() if work is None else work
+    return _upwind(field, field, lam_minus, lam_plus, interface_index, work)
 
 
 def step_second_order_nodal(
@@ -168,23 +189,33 @@ def step_second_order_nodal(
     dx: float,
     interface_index: int,
     kind: str = "arctan",
+    work: Workspace | None = None,
 ) -> np.ndarray:
-    """Second-order nodal step: the upwind update applied to edge states."""
+    """Second-order nodal step: the upwind update applied to edge states.
+
+    Buffers and result are `work`'s, as for `step_first_order`.
+    """
     field = np.asarray(field, dtype=float)
-    edges = field + limited_slopes(field, dx, interface_index, kind) * (dx / 2.0)
-    return _upwind(field, edges, lam_minus, lam_plus, interface_index)
+    work = Workspace() if work is None else work
+    offsets = limited_slopes(field, dx, interface_index, kind, work)
+    offsets *= dx / 2.0
+    # ROADMAP item 1 rewrites this edge state; item 8 then shares one helper with Liouville
+    edges = np.add(field, offsets, out=work.buffer("edges", field.shape))
+    return _upwind(field, edges, lam_minus, lam_plus, interface_index, work)
 
 
-def _nodal_step(coef, grid, nodes, order, kind) -> Callable[[np.ndarray], np.ndarray]:
+def _nodal_step(coef, grid, nodes, order, kind, work) -> Callable[[np.ndarray], np.ndarray]:
     """The scheme of `order` as a step of (cells, nodes) samples, speeds (dt/dx)*c(x, z_q).
 
     The order-2 SG step is this step at the rule's nodes followed by a filter
-    to degree k (project, then evaluate), so the limiter acts per node.
+    to degree k (project, then evaluate), so the limiter acts per node.  Each
+    step returns `work`'s "state" buffer.
     """
     lam_m, lam_p = grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
+    i = grid.interface_index
     if order == 1:
-        return lambda w: step_first_order(w, lam_m, lam_p, grid.interface_index)
-    return lambda w: step_second_order_nodal(w, lam_m, lam_p, grid.dx, grid.interface_index, kind)
+        return lambda w: step_first_order(w, lam_m, lam_p, i, work)
+    return lambda w: step_second_order_nodal(w, lam_m, lam_p, grid.dx, i, kind, work)
 
 
 def _cos_bump(x):
@@ -348,8 +379,16 @@ def run_convection(
         coef, grid, t_final, order, profile, kind, problems=chaos_problems(k, quad_count)
     )
     space = ChaosSpace.build(k, k + 1 if order == 1 else quad_count)
-    nodal = _nodal_step(coef, grid, space.rule.nodes, order, kind)
-    step = nodal if order == 1 else lambda w: project(nodal(w), space) @ space.table
+    work = Workspace()
+    nodal = _nodal_step(coef, grid, space.rule.nodes, order, kind, work)
+
+    def filtered(w):
+        # the degree-k filter of the nodal step's samples is written over them
+        samples = nodal(w)
+        coeffs = project(samples, space, out=work.buffer("coeffs", (grid.cells, len(space.table))))
+        return np.matmul(coeffs, space.table, out=samples)
+
+    step = nodal if order == 1 else filtered
     mass = lambda w: float((w @ space.rule.weights).sum() * grid.dx)
     samples, diagnostics = march(
         np.repeat(values[:, None], space.count, axis=1), step, steps, mass, "cell %d, node %d"
@@ -369,8 +408,9 @@ def convection_solve_nodal(
     """March the deterministic scheme at fixed z samples; shape (cells, nodes)."""
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
     steps, values = _set_up_solve(coef, grid, t_final, order, profile, kind, z_nodes)
-    step = _nodal_step(coef, grid, z_nodes, order, kind)
-    mass = lambda w: w.sum(axis=0) * grid.dx
+    step = _nodal_step(coef, grid, z_nodes, order, kind, Workspace())
+    ones = np.ones(grid.cells)
+    mass = lambda w: (ones @ w) * grid.dx
     return march(
         np.repeat(values[:, None], z_nodes.size, axis=1), step, steps, mass, "cell %d, node %d"
     )

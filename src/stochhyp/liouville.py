@@ -577,7 +577,8 @@ def liouville_solve_nodal(
     force = barrier.force(z_nodes)
     rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, order, kind, vflux_variant, work)
     step = lambda w: advance(w, grid.dt, rhs, integrator, work)
-    mass = lambda w: w.sum(axis=(0, 1)) * (grid.dx * grid.dv)
+    ones = np.ones(grid.nx * grid.nv)
+    mass = lambda w: (ones @ w.reshape(-1, z_nodes.size)) * (grid.dx * grid.dv)
     u, diagnostics = march(
         np.repeat(values[:, :, None], z_nodes.size, axis=2), step, steps, mass,
         "cell (%d, %d), node %d", track_range=True,
@@ -632,7 +633,10 @@ def liouville_solve_gpc(
     else:
         rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, work)
     step = lambda w: advance(w, grid.dt, rhs, integrator, work)
-    mass = lambda w: float(w[:, :, 0].sum() * (grid.dx * grid.dv))
+    # mode 0 alone misses a non-finite higher mode, and the march scans a
+    # state only when its mass is non-finite
+    cell = grid.dx * grid.dv
+    mass = lambda w: float(w[:, :, 0].sum() * cell) if np.isfinite(w).all() else np.nan
     field, diagnostics = march(
         deterministic_coeffs(values, k), step, steps, mass, "cell (%d, %d), mode %d"
     )

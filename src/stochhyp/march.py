@@ -3,7 +3,8 @@
 Each solver supplies its initial state, a one-step update and the mass
 reduction it conserves (the mode-0 sum for chaos coefficients, one sum per
 node for nodal samples).  The driver owns the bookkeeping around the steps:
-the non-finite scan, the mass drift, the optional value range and the timer.
+the mass drift, the non-finite scan that a non-finite mass triggers, the
+optional value range and the timer.
 """
 
 from __future__ import annotations
@@ -42,14 +43,21 @@ def march(
     """Apply `step` `steps` times to `state`; return the final state and diagnostics.
 
     `where` formats the index of the first non-finite entry, one `%d` per
-    array axis, e.g. "cell %d, mode %d".  The diagnostics carry `steps`,
-    `mass_initial`, `mass_drift_abs_max`, `mass_drift_rel_max` and
-    `wall_time`, plus `min_value`/`max_value` when `track_range` is set.
+    array axis, e.g. "cell %d, mode %d".  The march scans a state for such
+    entries only when its mass is non-finite, so `mass` must be non-finite
+    on every state with a non-finite entry: a sum with positive weights over
+    the whole state is, and a mass that reads only part of it must scan the
+    rest itself.  A finite state whose mass overflows is scanned and marched
+    on.  The diagnostics carry `steps`, `mass_initial`, `mass_drift_abs_max`,
+    `mass_drift_rel_max` and `wall_time`, plus `min_value`/`max_value` when
+    `track_range` is set.
     The march keeps only the latest state, and `step` may write the next one
     into a buffer of its own: a Liouville step alternates between the two
-    state buffers of its solve's workspace, so no state is allocated after
-    the first step.  Build `state` in the call, so that no caller variable
-    keeps the initial state alive once the first step has replaced it.
+    state buffers of its solve's workspace, and a convection step updates
+    its workspace's one state buffer in place, so no state is allocated
+    after the first step.  Build `state` in the call, so that no caller
+    variable keeps the initial state alive once the first step has replaced
+    it.
     """
     mass0 = mass(state)
     drift = np.zeros_like(mass0)
@@ -59,12 +67,14 @@ def march(
     started = time.perf_counter()
     for n in range(steps):
         state = step(state)
-        if not np.all(np.isfinite(state)):
-            bad = np.argwhere(~np.isfinite(state))[0]
-            raise DivergenceError(
-                "non-finite value detected", step=n + 1, where=where % tuple(bad)
-            )
-        drift = np.maximum(drift, np.abs(mass(state) - mass0))
+        mass_n = mass(state)
+        if not np.isfinite(mass_n).all():
+            bad = np.argwhere(~np.isfinite(state))
+            if len(bad):
+                raise DivergenceError(
+                    "non-finite value detected", step=n + 1, where=where % tuple(bad[0])
+                )
+        drift = np.maximum(drift, np.abs(mass_n - mass0))
         if track_range:
             lo = min(lo, float(state.min()))
             hi = max(hi, float(state.max()))

@@ -19,7 +19,9 @@ from stochhyp import (
     moments_from_samples,
     run_convection,
 )
+from stochhyp import convection, liouville
 from stochhyp.liouville import PHASE_PROFILES
+from stochhyp.march import march
 
 COEF = InterfaceCoefficient(1.0, 2.0, 0.3)
 STEP = PotentialBarrier(0.2, 0.0, 0.1)
@@ -260,3 +262,77 @@ def test_solver_converges_to_characteristics_under_refinement():
         errors.append(l1_norm(field - exact, grid.dx * grid.dv))
     assert errors[0] < 0.6
     assert errors[1] < errors[0]
+
+
+# --- the march's scan, triggered by a non-finite mass ---
+
+
+def poison_after_step(monkeypatch, module, at_step, index, value):
+    """Make `module`'s solves write `value` at `index` of the state that step `at_step` returns."""
+    real_march = module.march
+
+    def poisoned_march(state, step, *args, **kwargs):
+        taken = [0]
+
+        def poisoned(w):
+            out = step(w)
+            taken[0] += 1
+            if taken[0] == at_step:
+                out[index] = value
+            return out
+
+        return real_march(state, poisoned, *args, **kwargs)
+
+    monkeypatch.setattr(module, "march", poisoned_march)
+
+
+@pytest.mark.parametrize(
+    "module, solve, index, value, where",
+    [
+        # mode 2 alone: the mode-0 sum stays finite, so the mass must scan the rest
+        (
+            liouville,
+            lambda: liouville_solve_gpc(small_phase_grid(), STEP, 2, 0.1),
+            (4, 6, 2),
+            np.nan,
+            "cell (4, 6), mode 2",
+        ),
+        (
+            convection,
+            lambda: run_convection(COEF, convection_grid(), 3, 0.5),
+            (30, 1),
+            np.inf,
+            "cell 30, node 1",
+        ),
+        (
+            convection,
+            lambda: convection_solve_nodal(COEF, convection_grid(), [-0.5, 0.5], 0.5),
+            (12, 1),
+            -np.inf,
+            "cell 12, node 1",
+        ),
+    ],
+    ids=["liouville_gpc_mode2_nan", "convection_gpc_node_inf", "convection_nodal_node_inf"],
+)
+def test_one_non_finite_entry_stops_the_march_where_it_appears(
+    monkeypatch, module, solve, index, value, where
+):
+    poison_after_step(monkeypatch, module, 3, index, value)
+    with pytest.raises(DivergenceError) as err:
+        solve()
+    assert err.value.step == 3
+    assert err.value.where == where
+
+
+def test_a_finite_state_whose_mass_overflows_marches_on():
+    # node 0 sums to 2e308 after the first step: past the largest float, but
+    # every entry is finite, so the scan finds nothing and the drift is inf
+    state = np.ones((2, 2))
+    huge = np.array([[1e308, 1.0], [1e308, 1.0]])
+    mass = lambda w: w.sum(axis=0)
+    with np.errstate(over="ignore"):
+        final, diagnostics = march(state, lambda w: huge.copy(), 3, mass, "%d, %d")
+    np.testing.assert_array_equal(final, huge)
+    assert diagnostics["steps"] == 3
+    assert np.isposinf(diagnostics["mass_drift_abs_max"][0])
+    assert diagnostics["mass_drift_abs_max"][1] == 0.0

@@ -1,5 +1,7 @@
 """Interface advection solver: grids, matrices, steps, and the exact solution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -479,3 +481,58 @@ def test_order1_run_matches_a_march_of_the_galerkin_system(k):
     assert run.diagnostics["steps"] == 100
     scale = np.max(np.abs(field))
     assert np.max(np.abs(run.coeffs - field)) <= 1e-13 * scale
+
+
+# --- workspace ---
+
+
+@pytest.mark.parametrize("speeds", [node_speeds, build_lambda_matrices], ids=["nodal", "galerkin"])
+def test_a_direct_step_returns_a_new_array_and_keeps_its_input(speeds):
+    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
+    grid = small_grid()
+    lam_m, lam_p = speeds(coef, grid, ChaosSpace.build(3, 4))
+    field = np.random.default_rng(5).standard_normal((grid.cells, 4))
+    kept = field.copy()
+    stepped = step_first_order(field, lam_m, lam_p, grid.interface_index)
+    again = step_first_order(field, lam_m, lam_p, grid.interface_index)
+    assert not np.shares_memory(stepped, field) and not np.shares_memory(stepped, again)
+    np.testing.assert_array_equal(field, kept)
+    np.testing.assert_array_equal(stepped, again)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda coef, grid: run_convection(coef, grid, 8, 0.1),
+        lambda coef, grid: run_convection(coef, grid, 4, 0.1, order=2),
+        lambda coef, grid: convection_solve_nodal(coef, grid, gauss_rule(9).nodes, 0.1),
+        lambda coef, grid: convection_solve_nodal(coef, grid, gauss_rule(9).nodes, 0.1, order=2),
+    ],
+    ids=["sg_order1", "sg_order2", "nodal_order1", "nodal_order2"],
+)
+def test_a_steady_state_convection_step_allocates_almost_nothing(monkeypatch, solve):
+    # after one warm-up step the solve's workspace holds the speed table and
+    # every full-size array, so three more steps allocate only the small
+    # temporaries of numpy's ufunc machinery; the march's own mass and scan
+    # are left out
+    import stochhyp.convection as convection
+
+    growth = []
+
+    def measured_march(state, step, steps, mass, where, track_range=False):
+        state = step(state)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                state = step(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        growth.append((peak - before, state.nbytes))
+        return state, {}
+
+    monkeypatch.setattr(convection, "march", measured_march)
+    solve(InterfaceCoefficient(1.0, 2.0, 0.3), ConvectionGrid.from_spacing(-2.0, 6.0, 0.005, 0.001))
+    [(grown, state_bytes)] = growth
+    assert grown < state_bytes / 8
