@@ -169,8 +169,8 @@ def reads(problem: str | None, mode: str, order: int) -> tuple[str, ...]:
             fields += ["vflux", "alpha"]
     if order == 2:
         fields.append("limiter")
-    # order 1 uses the chaos rule only for Galerkin matrices linear in z, which
-    # every m >= k + 1 gives exactly, so m acts on gpc_sg at order 2 alone
+    # order 1, linear in z, is SG exactly on the k + 1 Gauss nodes, which both
+    # chaos solvers march whatever m, so m acts on gpc_sg at order 2 alone
     chaos = ["k", "m"] if order == 2 else ["k"]
     fields += {"gpc_sg": chaos, "collocation": ["m"], "deterministic": ["z"]}[mode]
     return tuple(fields)

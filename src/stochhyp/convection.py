@@ -16,14 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, reject
-from .gpc import (
-    ChaosSpace,
-    QuadratureRule,
-    chaos_problems,
-    gauss_rule,
-    project,
-    times,
-)
+from .gpc import ChaosSpace, QuadratureRule, chaos_problems, gauss_rule, project
 from .limiters import kind_problems, limited_slopes
 from .march import march, time_steps
 from .metrics import (
@@ -137,16 +130,11 @@ def _upwind(
     # times the speed on that cell's side of the jump.  Keep the grouping
     # (u_j - g_j) + g_{j-1}: the bitwise reduction identities between solver
     # paths (acceptance criterion 10) rely on it
-    g = work.buffer("flux", states.shape)
-    if lam_minus.ndim == 1:
-        speeds = work.derived(
-            "cell_speeds",
-            lambda: np.where((np.arange(len(states)) <= i)[:, None], lam_minus, lam_plus),
-        )
-        np.multiply(states, speeds, out=g)
-    else:
-        g[: i + 1] = times(states[: i + 1], lam_minus)
-        g[i + 1 :] = times(states[i + 1 :], lam_plus)
+    speeds = work.derived(
+        "cell_speeds",
+        lambda: np.where((np.arange(len(states)) <= i)[:, None], lam_minus, lam_plus),
+    )
+    g = np.multiply(states, speeds, out=work.buffer("flux", states.shape))
     # from the second step of a solve on, `field` is this buffer: the update
     # runs in place, which is safe because g holds every flux already
     out = np.subtract(field, g, out=work.buffer("state", field.shape))
@@ -161,23 +149,22 @@ def step_first_order(
     interface_index: int,
     work: Workspace | None = None,
 ) -> np.ndarray:
-    """One step of the immersed upwind scheme on chaos coefficients or nodal samples.
+    """One step of the immersed upwind scheme on (cells, nodes) samples of z.
 
-    lam_* act on the last axis of the field (`gpc.times`): the Galerkin matrices
-    of (dt/dx)*c for coefficients, or the per-node speeds for samples.  The
-    update is a flux difference, U_j - G_j + G_{j-1}, where the flux through the
-    right edge of cell j is G_j = L U_j with L = L- for cells left of the jump
-    (j <= interface_index) and L+ to its right.  The flux through the jump is
-    the left cell's, so the update conserves mass.  Inflow ghosts are zero
-    (compact support).
+    lam_* hold the per-node speeds (dt/dx)*c(x, z_q), shape (nodes,).  The
+    update is a flux difference, u_j - g_j + g_{j-1}, where the flux through the
+    right edge of cell j is g_j = lam u_j with lam = lam- for cells left of the
+    jump (j <= interface_index) and lam+ to its right.  The flux through the
+    jump is the left cell's, so the update conserves mass.  Inflow ghosts are
+    zero (compact support).
 
-    The new state is `work`'s "state" buffer, which may be `field` itself; per-node
+    The new state is `work`'s "state" buffer, which may be `field` itself; the
     speeds become a (cells, nodes) table that `work` keeps.  Without `work` the
     step runs on a throwaway workspace and returns a new array.
     """
     field = np.asarray(field, dtype=float)
-    if field.ndim != 2 or field.shape[1] != lam_minus.shape[0]:
-        raise ValueError("field shape does not match the speed operators")
+    if field.ndim != 2 or not np.shape(lam_minus) == np.shape(lam_plus) == field.shape[1:]:
+        raise ValueError("field shape does not match the per-node speeds")
     work = Workspace() if work is None else work
     return _upwind(field, field, lam_minus, lam_plus, interface_index, work)
 

@@ -179,11 +179,6 @@ def galerkin_matrix(
     return 0.5 * (mat + mat.T)
 
 
-def times(values: np.ndarray, op: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """An operator on the chaos axis (the last): a Galerkin matrix, or a per-node vector."""
-    return np.matmul(values, op, out=out) if op.ndim == 2 else np.multiply(values, op, out=out)
-
-
 def project(samples: np.ndarray, space: ChaosSpace, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients of the degree-max_order expansion from samples at the space's nodes."""
     samples = np.asarray(samples, dtype=float)

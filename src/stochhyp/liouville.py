@@ -4,9 +4,9 @@ Solves u_t + v u_x - V_x(x, z) u_v = 0 on an (x, v) grid where the potential
 V(x, z) = V0(x) + slope*x*z jumps at x = 0.  The x-flux at the barrier routes
 density between velocity rows so kinetic plus potential energy is conserved
 (transmission) or the velocity is reversed (reflection); v-fluxes are central
-and characteristic-independent.  Order 1 is linear in u and sees z only in
-the force, so gPC steps its coefficients directly, the force coupling the modes
-through its Galerkin matrix; order 2 steps at quadrature nodes and projects.
+and characteristic-independent.  Order 1 is linear in u and in z, so gPC-SG
+marches samples at the k + 1 Gauss nodes and projects them once; order 2
+steps the coefficients, evaluating them at quadrature nodes and projecting.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, reject
-from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, galerkin_matrix, project, times
+from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, project
 from .limiters import kind_problems, limited_slopes
 from .march import march, time_steps
 from .workspace import Workspace
@@ -236,15 +236,13 @@ def _vflux_product(
     scratch = of[:-1]  # free until the flux difference fills out
     np.add(uf[:-1], uf[1:], out=scratch)
     of[-1] = 0.0  # no sum; its product lands in a top boundary slot, overwritten below
-    # a Galerkin product per x-row: one product over every row would take
-    # BLAS's threaded path, whose buffers raise the peak memory
-    times(out, -0.5 * force, out=edges)
+    np.multiply(out, -0.5 * force, out=edges)
     np.subtract(uf[1:], uf[:-1], out=scratch)
     scratch *= 0.5 * alpha
     ef[:-1] -= scratch
-    edges[:, -1] = times(u[:, -1], -force)
+    np.multiply(u[:, -1], -force, out=edges[:, -1])
     np.subtract(ef[1:], ef[:-1], out=of[1:])
-    np.subtract(edges[:, 0], times(u[:, 0], -force), out=out[:, 0])
+    np.subtract(edges[:, 0], u[:, 0] * -force, out=out[:, 0])
     # dividing by -dv negates every bit, signed zeros included
     out /= -dv
     return out
@@ -256,12 +254,12 @@ def _vflux_ratio(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> n
     out = np.zeros_like(u)
     out[:, 1:-1] = (
         (0.5 * alpha) * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2])
-        - times(u[:, 2:] - u[:, :-2], 0.5 * force)
+        - (u[:, 2:] - u[:, :-2]) * (0.5 * force)
     ) / dv
     diff = u[:, 1] - u[:, 0]
-    out[:, 0] = ((0.5 * alpha) * diff - times(diff, 0.5 * force)) / dv
+    out[:, 0] = ((0.5 * alpha) * diff - diff * (0.5 * force)) / dv
     out[:, -1] = (
-        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - times(u[:, -1] - u[:, -2], 0.5 * force)
+        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - (u[:, -1] - u[:, -2]) * (0.5 * force)
     ) / dv
     return out
 
@@ -426,9 +424,8 @@ def rhs_nodal(
 ) -> np.ndarray:
     """Time derivative of u, shape (nx, nv, n), in `work`'s "rhs" buffer.
 
-    `force` acts on the last axis.  Nodal values take the force per node.
-    Order 1, linear in u, steps gPC coefficients exactly with the force's
-    Galerkin matrix; order 2 is nodal only.  Barrier events go to `work.counts`.
+    u holds samples at n nodes of z, and `force` the force at each of them,
+    shape (n,).  Barrier events go to `work.counts`.
     """
     work = Workspace() if work is None else work
     return _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work)
@@ -552,6 +549,13 @@ def _set_up_solve(
     return steps, alpha, stencil, values, work
 
 
+def _nodal_step(grid, barrier, stencil, nodes, alpha, order, integrator, kind, vflux, work):
+    """The scheme as a time step of (nx, nv, nodes) samples, the force per node."""
+    force = barrier.force(nodes)
+    rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, order, kind, vflux, work)
+    return lambda w: advance(w, grid.dt, rhs, integrator, work)
+
+
 def liouville_solve_nodal(
     grid: PhaseSpaceGrid,
     barrier: PotentialBarrier,
@@ -573,10 +577,9 @@ def liouville_solve_nodal(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
         z_nodes=z_nodes,
     )
-
-    force = barrier.force(z_nodes)
-    rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, order, kind, vflux_variant, work)
-    step = lambda w: advance(w, grid.dt, rhs, integrator, work)
+    step = _nodal_step(
+        grid, barrier, stencil, z_nodes, alpha, order, integrator, kind, vflux_variant, work
+    )
     ones = np.ones(grid.nx * grid.nv)
     mass = lambda w: (ones @ w.reshape(-1, z_nodes.size)) * (grid.dx * grid.dv)
     u, diagnostics = march(
@@ -620,25 +623,38 @@ def liouville_solve_gpc(
     kind: str = "arctan",
     vflux_variant: str = "product",
 ) -> LiouvilleRun:
-    """March the gPC coefficients, shape (nx, nv, k + 1); `alpha` as in `liouville_solve_nodal`."""
+    """Solve for the gPC coefficients, shape (nx, nv, k + 1); `alpha` as for the nodal solve.
+
+    Order 1, linear in z, is SG exactly on the k + 1 Gauss nodes whatever
+    `quad_count`: it marches samples there and projects once.
+    """
     steps, alpha, stencil, values, work = _set_up_solve(
         grid, barrier, t_final, order, integrator, alpha, profile, kind, vflux_variant,
         problems=chaos_problems(k, quad_count),
     )
-    space = ChaosSpace.build(k, quad_count)
+    space = ChaosSpace.build(k, k + 1 if order == 1 else quad_count)
+    cell = grid.dx * grid.dv
 
     if order == 1:
-        force = galerkin_matrix(barrier.force, space)
-        rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, 1, kind, vflux_variant, work)
+        step = _nodal_step(
+            grid, barrier, stencil, space.rule.nodes, alpha, 1, integrator, kind, vflux_variant,
+            work,
+        )
+        ones = np.ones(grid.nx * grid.nv)
+        mass = lambda w: float((ones @ w.reshape(-1, k + 1)) @ space.rule.weights * cell)
+        samples, diagnostics = march(
+            np.repeat(values[:, :, None], k + 1, axis=2), step, steps, mass,
+            "cell (%d, %d), node %d",
+        )
+        field = project(samples, space, out=work.state_after(samples))
     else:
         rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, work)
-    step = lambda w: advance(w, grid.dt, rhs, integrator, work)
-    # mode 0 alone misses a non-finite higher mode, and the march scans a
-    # state only when its mass is non-finite
-    cell = grid.dx * grid.dv
-    mass = lambda w: float(w[:, :, 0].sum() * cell) if np.isfinite(w).all() else np.nan
-    field, diagnostics = march(
-        deterministic_coeffs(values, k), step, steps, mass, "cell (%d, %d), mode %d"
-    )
+        step = lambda w: advance(w, grid.dt, rhs, integrator, work)
+        # mode 0 alone misses a non-finite higher mode, and the march scans a
+        # state only when its mass is non-finite
+        mass = lambda w: float(w[:, :, 0].sum() * cell) if np.isfinite(w).all() else np.nan
+        field, diagnostics = march(
+            deterministic_coeffs(values, k), step, steps, mass, "cell (%d, %d), mode %d"
+        )
     diagnostics.update(work.counts)
     return LiouvilleRun(field, diagnostics)

@@ -1,8 +1,8 @@
 """The explicit time-march loop shared by every solver.
 
-Each solver supplies its initial state, a one-step update and the mass
-reduction it conserves (the mode-0 sum for chaos coefficients, one sum per
-node for nodal samples).  The driver owns the bookkeeping around the steps:
+Each solver supplies its initial state, a one-step update and the mass it
+conserves (per node for samples, Gauss-weighted for SG samples, mode 0 for
+chaos coefficients).  The loop owns the bookkeeping around the steps:
 the mass drift, the non-finite scan that a non-finite mass triggers, the
 optional value range and the timer.
 """

@@ -111,7 +111,7 @@ def small_phase_grid():
             lambda: liouville_solve_gpc(
                 small_phase_grid(), STEP, 2, 0.1, profile=poisoned_disks
             ),
-            "mode",
+            "node",
         ),
         (
             lambda: deterministic_liouville(
@@ -289,13 +289,22 @@ def poison_after_step(monkeypatch, module, at_step, index, value):
 @pytest.mark.parametrize(
     "module, solve, index, value, where",
     [
-        # mode 2 alone: the mode-0 sum stays finite, so the mass must scan the rest
+        # order 2 marches coefficients: with mode 2 alone non-finite the mode-0
+        # sum stays finite, so the mass must scan the rest
+        (
+            liouville,
+            lambda: liouville_solve_gpc(small_phase_grid(), STEP, 2, 0.1, order=2),
+            (4, 6, 2),
+            np.nan,
+            "cell (4, 6), mode 2",
+        ),
+        # order 1 marches samples, and its weighted mass reads every node
         (
             liouville,
             lambda: liouville_solve_gpc(small_phase_grid(), STEP, 2, 0.1),
             (4, 6, 2),
             np.nan,
-            "cell (4, 6), mode 2",
+            "cell (4, 6), node 2",
         ),
         (
             convection,
@@ -312,7 +321,12 @@ def poison_after_step(monkeypatch, module, at_step, index, value):
             "cell 12, node 1",
         ),
     ],
-    ids=["liouville_gpc_mode2_nan", "convection_gpc_node_inf", "convection_nodal_node_inf"],
+    ids=[
+        "liouville_gpc_mode2_nan",
+        "liouville_gpc_node_nan",
+        "convection_gpc_node_inf",
+        "convection_nodal_node_inf",
+    ],
 )
 def test_one_non_finite_entry_stops_the_march_where_it_appears(
     monkeypatch, module, solve, index, value, where

@@ -42,9 +42,22 @@ def build_lambda_matrices(coef, grid, space):
 
 
 def node_speeds(coef, grid, space):
-    """Per-node (dt/dx)*c on each side of the jump, as the order-2 solve builds them."""
+    """Per-node (dt/dx)*c on each side of the jump, as the solves build them."""
     nodes = space.rule.nodes
     return grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
+
+
+def galerkin_step(field, lam_minus, lam_plus, interface_index):
+    """One step of the paper's SG system on coefficients, with the speeds' Galerkin matrices.
+
+    The flux through the right edge of cell j is g_j = U_j L, L = L- up to the
+    jump and L+ after it; the update is U - g plus g shifted by one cell.
+    """
+    i = interface_index
+    g = np.concatenate([field[: i + 1] @ lam_minus, field[i + 1 :] @ lam_plus])
+    out = field - g
+    out[1:] += g[:-1]
+    return out
 
 
 def sg_second_order_step(field, coef, grid, space, kind="arctan"):
@@ -172,8 +185,8 @@ def test_lambda_spectral_radius_bound():
 def test_constant_state_fixed_by_uniform_speed():
     coef = InterfaceCoefficient(1.0, 1.0, 0.0)
     grid = small_grid()
-    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(0))
-    field = np.ones((grid.cells, 1))
+    lam_m, lam_p = node_speeds(coef, grid, ChaosSpace.build(0))
+    field = np.ones((grid.cells, 2))
     stepped = step_first_order(field, lam_m, lam_p, grid.interface_index)
     np.testing.assert_array_equal(stepped[1:], field[1:])  # inflow cell drains
 
@@ -181,7 +194,7 @@ def test_constant_state_fixed_by_uniform_speed():
 def test_single_pulse_mass_split():
     coef = InterfaceCoefficient(1.0, 2.0, 0.0)
     grid = small_grid(dx=0.05, dt=0.01)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(0))
+    lam_m, lam_p = node_speeds(coef, grid, ChaosSpace.build(0, 1))
     field = np.zeros((grid.cells, 1))
     field[5, 0] = 1.0  # interior, left of the jump
     stepped = step_first_order(field, lam_m, lam_p, grid.interface_index)
@@ -209,7 +222,7 @@ def test_speed_ratio_profile_is_stationary():
 def test_step_is_linear_in_the_field():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(3))
+    lam_m, lam_p = node_speeds(coef, grid, ChaosSpace.build(3, 4))
     rng = np.random.default_rng(21)
     a = rng.standard_normal((grid.cells, 4))
     b = rng.standard_normal((grid.cells, 4))
@@ -221,32 +234,19 @@ def test_step_is_linear_in_the_field():
 
 
 def test_step_rejects_shape_mismatch():
-    # three modes or three nodes: a five-column field fits neither form
+    # the step takes speeds per node only: three speeds fit no five-column
+    # field, and no Galerkin matrix fits the field of its modes, a (1, 1)
+    # matrix on one mode included
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    space = ChaosSpace.build(2, 3)
-    for lam_m, lam_p in (build_lambda_matrices(coef, grid, space), node_speeds(coef, grid, space)):
+    i = grid.interface_index
+    lam_m, lam_p = node_speeds(coef, grid, ChaosSpace.build(2, 3))
+    with pytest.raises(ValueError):
+        step_first_order(np.zeros((grid.cells, 5)), lam_m, lam_p, i)
+    for k in (2, 0):
+        lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(k))
         with pytest.raises(ValueError):
-            step_first_order(np.zeros((grid.cells, 5)), lam_m, lam_p, grid.interface_index)
-
-
-def test_coefficient_step_commutes_with_evaluation_on_low_degree_fields():
-    # speed linear in z and top mode empty: the matrix product is exact, so
-    # stepping commutes with pointwise evaluation at any node
-    coef = InterfaceCoefficient(1.0, 2.0, 0.3)
-    grid = small_grid()
-    space = ChaosSpace.build(3)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, space)
-    rng = np.random.default_rng(23)
-    field = rng.standard_normal((grid.cells, 4))
-    field[:, 3] = 0.0
-    zs = gauss_rule(6).nodes
-    table = space.basis.values(zs)
-    matrix_path = step_first_order(field, lam_m, lam_p, grid.interface_index) @ table
-    nodal_path = step_first_order(
-        field @ table, grid.ratio * coef.left(zs), grid.ratio * coef.right(zs), grid.interface_index
-    )
-    np.testing.assert_allclose(matrix_path, nodal_path, atol=1e-13)
+            step_first_order(np.zeros((grid.cells, k + 1)), lam_m, lam_p, i)
 
 
 # --- second-order step ---
@@ -270,10 +270,11 @@ def test_second_order_matches_first_order_on_flat_data():
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
     space = ChaosSpace.build(2)
-    lam_m, lam_p = build_lambda_matrices(coef, grid, space)
+    lam_m, lam_p = node_speeds(coef, grid, space)
     field = np.zeros((grid.cells, 3))
     field[:, 0] = 2.0
-    first = step_first_order(field, lam_m, lam_p, grid.interface_index)
+    stepped = step_first_order(field @ space.table, lam_m, lam_p, grid.interface_index)
+    first = project(stepped, space)
     second = sg_second_order_step(field, coef, grid, space)
     np.testing.assert_allclose(second, first, atol=1e-14)
 
@@ -476,7 +477,7 @@ def test_order1_run_matches_a_march_of_the_galerkin_system(k):
     lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(k))
     field = deterministic_coeffs(COS.func(grid.centers), k)
     for _ in range(100):
-        field = step_first_order(field, lam_m, lam_p, grid.interface_index)
+        field = galerkin_step(field, lam_m, lam_p, grid.interface_index)
     run = run_convection(coef, grid, k, 100 * grid.dt)
     assert run.diagnostics["steps"] == 100
     scale = np.max(np.abs(field))
@@ -486,15 +487,26 @@ def test_order1_run_matches_a_march_of_the_galerkin_system(k):
 # --- workspace ---
 
 
-@pytest.mark.parametrize("speeds", [node_speeds, build_lambda_matrices], ids=["nodal", "galerkin"])
-def test_a_direct_step_returns_a_new_array_and_keeps_its_input(speeds):
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda field, lam_m, lam_p, grid: step_first_order(
+            field, lam_m, lam_p, grid.interface_index
+        ),
+        lambda field, lam_m, lam_p, grid: step_second_order_nodal(
+            field, lam_m, lam_p, grid.dx, grid.interface_index
+        ),
+    ],
+    ids=["nodal", "nodal_order2"],
+)
+def test_a_direct_step_returns_a_new_array_and_keeps_its_input(step):
     coef = InterfaceCoefficient(1.0, 2.0, 0.3)
     grid = small_grid()
-    lam_m, lam_p = speeds(coef, grid, ChaosSpace.build(3, 4))
+    lam_m, lam_p = node_speeds(coef, grid, ChaosSpace.build(3, 4))
     field = np.random.default_rng(5).standard_normal((grid.cells, 4))
     kept = field.copy()
-    stepped = step_first_order(field, lam_m, lam_p, grid.interface_index)
-    again = step_first_order(field, lam_m, lam_p, grid.interface_index)
+    stepped = step(field, lam_m, lam_p, grid)
+    again = step(field, lam_m, lam_p, grid)
     assert not np.shares_memory(stepped, field) and not np.shares_memory(stepped, again)
     np.testing.assert_array_equal(field, kept)
     np.testing.assert_array_equal(stepped, again)

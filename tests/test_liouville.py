@@ -20,7 +20,7 @@ from stochhyp.config import PRESETS
 from stochhyp.liouville import PHASE_PROFILES, advance, rhs_nodal, scheme_problems
 from stochhyp.workspace import Workspace
 from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
-from stochhyp.gpc import deterministic_coeffs, times
+from stochhyp.gpc import deterministic_coeffs
 from stochhyp.limiters import limited_slopes
 
 STEP = PotentialBarrier(0.2, 0.0, 0.1)
@@ -278,6 +278,12 @@ def test_second_order_vflux_transports_quadratics_exactly():
     np.testing.assert_allclose(stepped[:, 1:-1, 0] - exact[None, 1:-1], 0.0, atol=1e-13)
 
 
+def times(values, op, out=None):
+    # an operator on the chaos axis: a Galerkin matrix on coefficients, a
+    # per-node vector on samples
+    return np.matmul(values, op, out=out) if op.ndim == 2 else np.multiply(values, op, out=out)
+
+
 def strided_vflux_product(u, force, alpha, dv):
     # reference: the v-flux written over (nx, nv + 1, n) edges with strided views
     flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
@@ -293,6 +299,21 @@ def strided_vflux_product(u, force, alpha, dv):
     np.subtract(flux[:, 1:], flux[:, :-1], out=out)
     np.negative(out, out=out)
     out /= dv
+    return out
+
+
+def strided_vflux_ratio(u, force, alpha, dv):
+    # reference: the legacy central v-flux, multiplied through
+    out = np.zeros_like(u)
+    out[:, 1:-1] = (
+        (0.5 * alpha) * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2])
+        - times(u[:, 2:] - u[:, :-2], 0.5 * force)
+    ) / dv
+    diff = u[:, 1] - u[:, 0]
+    out[:, 0] = ((0.5 * alpha) * diff - times(diff, 0.5 * force)) / dv
+    out[:, -1] = (
+        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - times(u[:, -1] - u[:, -2], 0.5 * force)
+    ) / dv
     return out
 
 
@@ -328,14 +349,14 @@ def vflux_fields(shape, seed):
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
-@pytest.mark.parametrize("force_kind", ["galerkin", "nodal"])
+@pytest.mark.parametrize("force_kind", ["nodal", "gauss"])
 def test_contiguous_vflux_product_matches_the_strided_one_bitwise(shape, force_kind):
+    # "gauss" is the force at the nodes of an n-node Gauss rule; an odd rule,
+    # such as the k + 1 nodes of an order-1 SG solve at even k, holds z = 0,
+    # whose force is exactly zero and whose products are signed zeros
     rng, fields = vflux_fields(shape, 11)
     n = shape[-1]
-    if force_kind == "galerkin":
-        force = galerkin_matrix(lambda z: 0.1 * z + 0.05 * z * z, ChaosSpace.build(n - 1))
-    else:
-        force = rng.uniform(-0.2, 0.2, n)
+    force = rng.uniform(-0.2, 0.2, n) if force_kind == "nodal" else STEP.force(gauss_rule(n).nodes)
     work = Workspace()
     work.buffer("vflux_edges", shape).fill(np.nan)
     work.buffer("vflux", shape).fill(np.nan)
@@ -360,12 +381,9 @@ def test_contiguous_vflux_second_matches_the_strided_one_bitwise(shape):
         )
 
 
-def whole_grid_rhs_nodal(
-    u, grid, stencil, force, alpha, order=1, kind="arctan", vflux_variant="product",
-    diagnostics=None, work=None,
-):
-    # reference: the right-hand side computed on whole-grid arrays, with the
-    # x-transport differences on half rows
+def whole_grid_x_transport(u, grid, stencil, order=1, kind="arctan", diagnostics=None, work=None):
+    # reference: the x-transport term computed on whole-grid arrays, with the
+    # differences on half rows, in `work`'s "rhs" buffer
     work = Workspace() if work is None else work
     speed = work.derived(
         "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], u.shape[-1], 1)
@@ -404,7 +422,16 @@ def whole_grid_rhs_nodal(
         )
 
     out *= speed
+    return out
 
+
+def whole_grid_rhs_nodal(
+    u, grid, stencil, force, alpha, order=1, kind="arctan", vflux_variant="product",
+    diagnostics=None, work=None,
+):
+    # reference: the right-hand side computed on whole-grid arrays
+    work = Workspace() if work is None else work
+    out = whole_grid_x_transport(u, grid, stencil, order, kind, diagnostics, work)
     if order == 2:
         out += liouville._vflux_second(u, force, grid.dt, grid.dv, work)
     elif vflux_variant == "product":
@@ -431,13 +458,12 @@ def edge_grid(edge, nx=12, nv=8):
 
 def block_rhs_pair(kind, order, grid, stencil, space, ref_diag, work):
     """The block right-hand side and its whole-grid reference, for one kind of field."""
-    if kind == "gpc" and order == 2:
+    if kind == "gpc":
         return (
             lambda w: liouville.galerkin_rhs(w, grid, STEP, stencil, "tanh", space, work),
             lambda w: whole_grid_galerkin_rhs(w, grid, STEP, stencil, "tanh", space, ref_diag),
         )
-    force = galerkin_matrix(STEP.force, space) if kind == "gpc" else STEP.force([-0.8, 0.1, 0.9])
-    args = (grid, stencil, force, 0.3, order, "tanh")
+    args = (grid, stencil, STEP.force([-0.8, 0.1, 0.9]), 0.3, order, "tanh")
     return (
         lambda w: rhs_nodal(w, *args, work=work),
         lambda w: whole_grid_rhs_nodal(w, *args, diagnostics=ref_diag),
@@ -449,15 +475,16 @@ def block_rhs_pair(kind, order, grid, stencil, space, ref_diag, work):
 @pytest.mark.parametrize("edge", [1, 5, 6, 11], ids=["first", "inside", "boundary", "last"])
 @pytest.mark.parametrize("kind", ["nodal", "gpc"])
 def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
-    # blocks of 1, 2 and 3 rows and the whole grid, at orders 1 and 2 with
-    # euler and rk2 stepping, on 3 nodes or 3 chaos modes; a random field
-    # feeds every row of the barrier gather, the truncated ones included
+    # blocks of 1, 2 and 3 rows and the whole grid, with euler and rk2
+    # stepping: 3 nodes at orders 1 and 2, or 3 chaos modes at order 2, the
+    # one order that steps coefficients; a random field feeds every row of
+    # the barrier gather, the truncated ones included
     grid = edge_grid(edge)
     stencil = BarrierStencil.build(grid, STEP)
     space = ChaosSpace.build(2)
     start = np.random.default_rng(edge).uniform(0.0, 1.0, (grid.nx, grid.nv, 3))
-    for order in (1, 2):
-        nodes = space.count if (kind, order) == ("gpc", 2) else 3
+    for order in (1, 2) if kind == "nodal" else (2,):
+        nodes = space.count if kind == "gpc" else 3
         for height in (1, 2, 3, grid.nx):
             monkeypatch.setattr(liouville, "_BLOCK_BYTES", height * grid.nv * nodes * 8)
             assert next(liouville._row_blocks(grid, nodes)) == (0, height)
@@ -529,14 +556,15 @@ def test_rk2_solve_matches_a_hand_loop_of_advance_bitwise(solver):
     stencil = BarrierStencil.build(grid, STEP)
     values = PHASE_PROFILES["quarter_disks"](grid.x_centers[:, None], grid.v_centers[None, :])
     if solver == "gpc":
+        # order 1 marches the k + 1 Gauss nodes and projects once
+        space = ChaosSpace.build(4, 5)
+        z = space.rule.nodes
         run = liouville_solve_gpc(grid, STEP, 4, 0.02, integrator="rk2")
-        force = galerkin_matrix(STEP.force, ChaosSpace.build(4))
-        field = deterministic_coeffs(values, 4)
     else:
         z = np.array([-0.6, 0.1, 0.9])
         run = liouville_solve_nodal(grid, STEP, z, 0.02, integrator="rk2")
-        force = STEP.force(z)
-        field = np.repeat(values[:, :, None], z.size, axis=2)
+    force = STEP.force(z)
+    field = np.repeat(values[:, :, None], z.size, axis=2)
     counts = Counter()
 
     def rhs(w):
@@ -548,6 +576,8 @@ def test_rk2_solve_matches_a_hand_loop_of_advance_bitwise(solver):
 
     for _ in range(run.diagnostics["steps"]):
         field = advance(field, grid.dt, rhs, "rk2")
+    if solver == "gpc":
+        field = project(field, space)
     assert run.diagnostics["steps"] == 10
     np.testing.assert_array_equal(run.field, field)
     assert run.diagnostics["truncation_events"] == counts["truncation_events"] > 0
@@ -644,52 +674,40 @@ def test_galerkin_rhs_rejects_small_rule():
         ChaosSpace.build(3, 2)
 
 
-def evaluate_step_project(field, grid, barrier, stencil, alpha, space, vflux, work):
-    # the order-1 Galerkin step through the nodes: the reference for the
-    # coefficient-space step
-    nodal = rhs_nodal(
-        field @ space.table, grid, stencil, barrier.force(space.rule.nodes), alpha,
-        vflux_variant=vflux, work=work,
-    )
-    return project(nodal, space)
+def galerkin_system_rhs(field, grid, stencil, force_matrix, alpha, vflux, diagnostics):
+    # the paper's order-1 SG system on coefficients: the x-transport acts on
+    # every mode alone, and the force couples the modes through its Galerkin
+    # matrix
+    out = whole_grid_x_transport(field, grid, stencil, diagnostics=diagnostics)
+    vflux_of = strided_vflux_product if vflux == "product" else strided_vflux_ratio
+    out += vflux_of(field, force_matrix, alpha, grid.dv)
+    return out
 
 
 @pytest.mark.parametrize("vflux", ["product", "ratio"])
-@pytest.mark.parametrize("m", [6, 12, 64])  # k + 1, 2k + 2 and a dense rule at k = 5
-def test_order1_rhs_in_coefficient_space_matches_evaluate_step_project(m, vflux):
-    # the rhs is affine in z, so m >= k + 1 nodes project it exactly
+@pytest.mark.parametrize("m", [3, 6, 64])  # k + 1, 2k + 2 and a dense rule at k = 2
+@pytest.mark.parametrize("integrator", ["euler", "rk2"])
+def test_order1_solve_matches_a_march_of_the_galerkin_system(integrator, m, vflux):
+    # the solve marches the k + 1 Gauss nodes, whatever m, and projects once;
+    # the force is linear in z, so its Galerkin matrix, exact on any rule of
+    # m >= k + 1 nodes, makes the hand march of the coefficients the same
+    # scheme.  A solve that marched the 2k + 2 nodes would miss by about 3e-10
     grid = unit_grid(nx=24, nv=24)
     stencil = BarrierStencil.build(grid, STEP)
     assert stencil.static_truncations > 0
-    space = ChaosSpace.build(5, m)
-    field = np.random.default_rng(3).standard_normal((24, 24, 6))
-    got_work, ref_work = Workspace(), Workspace()
-    got = rhs_nodal(
-        field, grid, stencil, galerkin_matrix(STEP.force, space), 0.1,
-        vflux_variant=vflux, work=got_work,
+    run = liouville_solve_gpc(
+        grid, STEP, 2, 0.04, integrator=integrator, quad_count=m, vflux_variant=vflux
     )
-    ref = evaluate_step_project(field, grid, STEP, stencil, 0.1, space, vflux, ref_work)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert got_work.counts["truncation_events"] == ref_work.counts["truncation_events"] > 0
-
-
-def test_order1_rk2_solve_in_coefficient_space_matches_evaluate_step_project():
-    grid = unit_grid(nx=40, nv=40)
-    gaussian = lambda x, v: np.exp(-(x * x + v * v))
-    run = liouville_solve_gpc(grid, STEP, 4, 0.02, integrator="rk2", profile=gaussian)
-    space = ChaosSpace.build(4)
-    stencil = BarrierStencil.build(grid, STEP)
-    # project returns a fresh array, so the two stage slopes never share one
-    work = Workspace()
-    rhs = lambda w: evaluate_step_project(
-        w, grid, STEP, stencil, STEP.max_force, space, "product", work
-    )
-    field = deterministic_coeffs(gaussian(grid.x_centers[:, None], grid.v_centers[None, :]), 4)
+    force = galerkin_matrix(STEP.force, ChaosSpace.build(2, m))
+    counts = {}
+    rhs = lambda w: galerkin_system_rhs(w, grid, stencil, force, STEP.max_force, vflux, counts)
+    values = PHASE_PROFILES["quarter_disks"](grid.x_centers[:, None], grid.v_centers[None, :])
+    field = deterministic_coeffs(values, 2)
     for _ in range(run.diagnostics["steps"]):
-        field = advance(field, grid.dt, rhs, "rk2")
-    assert run.diagnostics["steps"] == 10
+        field = advance(field, grid.dt, rhs, integrator)
+    assert run.diagnostics["steps"] == 20
     assert np.max(np.abs(run.field - field)) <= 1e-13 * np.max(np.abs(field))
-    assert run.diagnostics["truncation_events"] == work.counts["truncation_events"] > 0
+    assert run.diagnostics["truncation_events"] == counts["truncation_events"] > 0
 
 
 # --- full solves ---

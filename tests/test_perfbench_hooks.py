@@ -65,7 +65,7 @@ CONVECTION_TINY = "t_final = 0.02\n[grid]\ndx = 0.05\ndt = 0.01\n[random]\nk = 2
 PROGRAM_RUNS = {
     "liouville_order1": (
         ["run"], "preset = example2_order1\n" + LIOUVILLE_TINY, 1,
-        ("gpc.galerkin_matrix.calls", "liouville.rhs_nodal.calls"),
+        ("gpc.project.calls", "liouville.rhs_nodal.calls"),
     ),
     "liouville_order2": (
         ["run"], "preset = example2_order2\n" + LIOUVILLE_TINY, 1,
