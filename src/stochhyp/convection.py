@@ -142,6 +142,14 @@ def _upwind(
     return out
 
 
+def _checked_field(field, lam_minus, lam_plus) -> np.ndarray:
+    """`field` as floats, if it is (cells, nodes) with one speed per node on each side."""
+    field = np.asarray(field, dtype=float)
+    if field.ndim != 2 or not np.shape(lam_minus) == np.shape(lam_plus) == field.shape[1:]:
+        raise ValueError("field shape does not match the per-node speeds")
+    return field
+
+
 def step_first_order(
     field: np.ndarray,
     lam_minus: np.ndarray,
@@ -162,9 +170,7 @@ def step_first_order(
     speeds become a (cells, nodes) table that `work` keeps.  Without `work` the
     step runs on a throwaway workspace and returns a new array.
     """
-    field = np.asarray(field, dtype=float)
-    if field.ndim != 2 or not np.shape(lam_minus) == np.shape(lam_plus) == field.shape[1:]:
-        raise ValueError("field shape does not match the per-node speeds")
+    field = _checked_field(field, lam_minus, lam_plus)
     work = Workspace() if work is None else work
     return _upwind(field, field, lam_minus, lam_plus, interface_index, work)
 
@@ -180,9 +186,9 @@ def step_second_order_nodal(
 ) -> np.ndarray:
     """Second-order nodal step: the upwind update applied to edge states.
 
-    Buffers and result are `work`'s, as for `step_first_order`.
+    Shapes, buffers and result are as for `step_first_order`.
     """
-    field = np.asarray(field, dtype=float)
+    field = _checked_field(field, lam_minus, lam_plus)
     work = Workspace() if work is None else work
     offsets = limited_slopes(field, dx, interface_index, kind, work)
     offsets *= dx / 2.0

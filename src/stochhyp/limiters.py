@@ -100,6 +100,10 @@ def limited_slopes(
     the halo whose slopes the caller does not read.  Unlike `bap_slope`,
     this does not scan for non-finite values: the march scans every state
     its step returns.
+
+    `work` holds three buffers: the differences, over which the mapped
+    means are written, the mapped differences, over which the slopes are
+    written, and the two differences that the interface cells read.
     """
     forward, inverse = limiter_maps(kind)
     work = Workspace() if work is None else work
@@ -108,17 +112,25 @@ def limited_slopes(
     d = work.buffer("limiter_differences", (u.shape[0] - 1,) + u.shape[1:])
     np.subtract(u[1:], u[:-1], out=d)
     d /= dx
+    # the interface cells, when inside the slab, keep the differences on their side
+    i = interface_index
+    left, right = 1 <= i < len(u) - 1, 1 <= i + 1 < len(u) - 1
+    saved = work.buffer("limiter_interface", (2,) + u.shape[1:])
+    if left:
+        saved[0] = d[i - 1]
+    if right:
+        saved[1] = d[i + 1]
     slopes = work.buffer("limiter_mapped", u.shape)
     mapped = forward(d, slopes[:-1])
-    mean = np.add(mapped[:-1], mapped[1:], out=work.buffer("limiter_mean", mapped[1:].shape))
+    # the differences are spent: their mapped means take their place, and
+    # the slopes then take the place of the mapped differences
+    mean = np.add(mapped[:-1], mapped[1:], out=d[:-1])
     mean *= 0.5
-    # the mapped differences are spent: the slopes take their place
     inverse(mean, slopes[1:-1])
     slopes[0] = 0.0
     slopes[-1] = 0.0
-    i = interface_index
-    if 1 <= i < len(slopes) - 1:
-        slopes[i] = d[i - 1]
-    if 1 <= i + 1 < len(slopes) - 1:
-        slopes[i + 1] = d[i + 1]
+    if left:
+        slopes[i] = saved[0]
+    if right:
+        slopes[i + 1] = saved[1]
     return slopes

@@ -313,10 +313,11 @@ def _row_blocks(grid: PhaseSpaceGrid, n: int):
 # rows are halo, never read, unless those rows are the grid's own flat ends.
 # `upwind` holds the state each slab row carries across its downwind edge:
 # the right edge state u + offset in the upper v-half (v > 0), the left
-# edge state u - offset in the lower half, and u itself at order 1.  Row d
-# of `diffs` is the jump across x-edge a + d - 1/2, one contiguous
-# difference of whole rows; x-row i takes the upper half of its left edge,
-# diffs[i - a], and the lower half of its right edge, diffs[i - a + 1].  The
+# edge state u - offset in the lower half, and u itself at order 1; at
+# order 2 it is written over the limiter's offsets.  Row d of `diffs` is
+# the jump across x-edge a + d - 1/2, one contiguous difference of whole
+# rows; x-row i takes the upper half of its left edge, diffs[i - a], and
+# the lower half of its right edge, diffs[i - a + 1].  The
 # boundary edges -1/2 and nx - 1/2, whose ghosts hold the boundary rows' own
 # states, and the barrier edge ir - 1/2 are rewritten first.  The x speed
 # then scales whole rows, and each half is copied into place: numpy copies
@@ -351,7 +352,14 @@ def _rhs_block(
             "edge_offset",
             lambda: np.repeat(np.where(grid.v_centers > 0.0, -0.5, 0.5)[:, None] * grid.dx, n, 1),
         )
-        upwind = np.subtract(slab, offsets, out=work.buffer("upwind_states", slab.shape))
+        if a <= ir <= b:
+            # the edge states that the barrier gather reads, formed before the
+            # upwind states are written over the offsets
+            barrier_edges = np.add(
+                slab[il - lo : ir - lo + 1], offsets[il - lo : ir - lo + 1],
+                out=work.buffer("barrier_edges", (2,) + slab.shape[1:]),
+            )
+        upwind = np.subtract(slab, offsets, out=offsets)
 
     diffs = work.buffer("upwind_differences", (b - a + 1,) + slab.shape[1:])
     first, last = max(a, 1), min(b + 1, nx)  # rows whose left edge is interior
@@ -369,10 +377,7 @@ def _rhs_block(
         if order == 1:
             right_il, left_ir = slab[il - lo], slab[ir - lo]
         else:
-            right_il, left_ir = np.add(
-                slab[il - lo : ir - lo + 1], offsets[il - lo : ir - lo + 1],
-                out=work.buffer("barrier_edges", (2,) + slab.shape[1:]),
-            )
+            right_il, left_ir = barrier_edges
             right_il[half:] = upwind[il - lo, half:]
             left_ir[:half] = upwind[ir - lo, :half]
         events = 0
@@ -401,13 +406,20 @@ def _rhs_block(
         project(rates, space, out=out[a:b])
 
 
-def _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work, space=None):
-    """The right-hand side in `work`'s "rhs" buffer, one block of x-rows at a time."""
-    out = work.buffer("rhs", u.shape)
+def _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work, space, dt):
+    """The right-hand side in `work`'s "rhs" buffer, one block of x-rows at a time.
+
+    With a `dt`, each block is instead stepped, u + dt * rhs, while it is in
+    cache, into the state buffer of `work` that is not u.
+    """
+    out = work.buffer("rhs", u.shape) if dt is None else work.state_after(u)
     for a, b in _row_blocks(grid, u.shape[-1] if space is None else space.count):
         _rhs_block(
             u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, work, space
         )
+        if dt is not None:
+            np.multiply(dt, out[a:b], out=out[a:b])
+            np.add(u[a:b], out[a:b], out=out[a:b])
     return out
 
 
@@ -421,37 +433,43 @@ def rhs_nodal(
     kind: str = "arctan",
     vflux_variant: str = "product",
     work: Workspace | None = None,
+    dt: float | None = None,
 ) -> np.ndarray:
     """Time derivative of u, shape (nx, nv, n), in `work`'s "rhs" buffer.
 
     u holds samples at n nodes of z, and `force` the force at each of them,
-    shape (n,).  Barrier events go to `work.counts`.
+    shape (n,).  Barrier events go to `work.counts`.  With a `dt`, the result
+    is instead the Euler step u + dt * rhs, written block by block into the
+    state buffer of `work` that is not u; no "rhs" buffer is made.
     """
     work = Workspace() if work is None else work
-    return _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work)
+    return _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work, None, dt)
 
 
 def advance(
     u: np.ndarray,
     dt: float,
-    rhs: Callable[[np.ndarray], np.ndarray],
+    rhs: Callable[..., np.ndarray],
     integrator: str,
     work: Workspace | None = None,
 ) -> np.ndarray:
     """One explicit time step; rk2 averages the two Heun stage slopes.
 
-    The new state goes into the one of `work`'s two state buffers that is not
-    u, so u is left as it was.  Between the rk2 stages the "rhs" buffer, into
-    which a rhs that shares `work` writes, is swapped out, so the first
-    stage's slope survives the second.
+    `rhs(u)` is the time derivative at u, and `rhs(u, dt)` the Euler step
+    u + dt * rhs(u): an euler step is that one call, which `rhs_nodal` and
+    `galerkin_rhs` make block by block.  The rk2 step puts the new state
+    into the one of `work`'s two state buffers that is not u, so u is left
+    as it was.  Between its stages the "rhs" buffer, into which a rhs that
+    shares `work` writes, is swapped out, so the first stage's slope
+    survives the second.
     """
+    if integrator == "euler":
+        return rhs(u, dt)
     work = Workspace() if work is None else work
     out = work.state_after(u)
     k1 = rhs(u)
     np.multiply(dt, k1, out=out)
     np.add(u, out, out=out)
-    if integrator == "euler":
-        return out
     work.swap("rhs", "first_slope")
     k2 = rhs(out)
     if k2 is k1:
@@ -552,7 +570,9 @@ def _set_up_solve(
 def _nodal_step(grid, barrier, stencil, nodes, alpha, order, integrator, kind, vflux, work):
     """The scheme as a time step of (nx, nv, nodes) samples, the force per node."""
     force = barrier.force(nodes)
-    rhs = lambda w: rhs_nodal(w, grid, stencil, force, alpha, order, kind, vflux, work)
+    rhs = lambda w, dt=None: rhs_nodal(
+        w, grid, stencil, force, alpha, order, kind, vflux, work, dt
+    )
     return lambda w: advance(w, grid.dt, rhs, integrator, work)
 
 
@@ -598,16 +618,18 @@ def galerkin_rhs(
     kind: str,
     space: ChaosSpace,
     work: Workspace | None = None,
+    dt: float | None = None,
 ) -> np.ndarray:
     """Order-2 time derivative of the coefficient field: evaluate, step, project.
 
     The result is in `work`'s "rhs" buffer.  Each block of x-rows is
-    evaluated at the nodes, stepped and projected in turn.
+    evaluated at the nodes, stepped and projected in turn.  With a `dt`,
+    each block goes on to the Euler step, as in `rhs_nodal`.
     """
     work = Workspace() if work is None else work
     force = work.derived("force", lambda: barrier.force(space.rule.nodes))
     # alpha: the order-2 v-flux has no LF viscosity
-    return _rhs(field, grid, stencil, force, 0.0, 2, kind, "product", work, space)
+    return _rhs(field, grid, stencil, force, 0.0, 2, kind, "product", work, space, dt)
 
 
 def liouville_solve_gpc(
@@ -648,7 +670,7 @@ def liouville_solve_gpc(
         )
         field = project(samples, space, out=work.state_after(samples))
     else:
-        rhs = lambda w: galerkin_rhs(w, grid, barrier, stencil, kind, space, work)
+        rhs = lambda w, dt=None: galerkin_rhs(w, grid, barrier, stencil, kind, space, work, dt)
         step = lambda w: advance(w, grid.dt, rhs, integrator, work)
         # mode 0 alone misses a non-finite higher mode, and the march scans a
         # state only when its mass is non-finite

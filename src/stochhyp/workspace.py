@@ -52,7 +52,9 @@ class Workspace:
         """A buffer for the state that follows `state`: of a pair, the one it is not.
 
         Both are made on the first request, so the second step allocates
-        nothing; its pages are touched only when it is first written.
+        nothing; its pages are touched only when it is first written.  A
+        Liouville euler step writes it block by block, so that pair is the
+        only state-sized memory of its solve; rk2 adds its two stage slopes.
         """
         first = self.buffer("state", state.shape)
         second = self.buffer("next_state", state.shape)

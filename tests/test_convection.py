@@ -247,6 +247,14 @@ def test_step_rejects_shape_mismatch():
         lam_m, lam_p = build_lambda_matrices(coef, grid, ChaosSpace.build(k))
         with pytest.raises(ValueError):
             step_first_order(np.zeros((grid.cells, k + 1)), lam_m, lam_p, i)
+    # one speed per side broadcasts over three nodes unless the steps refuse
+    # it, and a field of one node must still be 2-D
+    one = np.array([grid.ratio])
+    for field, speed in ((np.zeros((grid.cells, 3)), one), (np.zeros(grid.cells), one)):
+        with pytest.raises(ValueError, match="per-node speeds"):
+            step_first_order(field, speed, speed, i)
+        with pytest.raises(ValueError, match="per-node speeds"):
+            step_second_order_nodal(field, speed, speed, grid.dx, i)
 
 
 # --- second-order step ---

@@ -90,9 +90,15 @@ def test_rejects_non_finite():
 
 
 @pytest.mark.parametrize("kind", BAP_KINDS)
-@pytest.mark.parametrize("i", [0, 4, 10], ids=["first_edge", "inner_edge", "last_edge"])
+@pytest.mark.parametrize(
+    "i",
+    [0, 1, 4, 9, 10],
+    ids=["first_edge", "next_to_first_cell", "inner_edge", "next_to_last_cell", "last_edge"],
+)
 def test_limited_slopes_cell_by_cell(kind, i):
-    # 12 cells; the jump sits on the edge between cells i and i + 1
+    # 12 cells; the jump sits on the edge between cells i and i + 1.  At i = 1
+    # and i = 9 both interface cells are interior, and one of them borders a
+    # flat end cell
     rng = np.random.default_rng(17)
     dx = 0.1
     u = rng.standard_normal((12, 3))
@@ -107,6 +113,9 @@ def test_limited_slopes_cell_by_cell(kind, i):
     slopes = limited_slopes(u, dx, i, kind)
     np.testing.assert_allclose(slopes, expected, rtol=1e-14, atol=0.0)
     assert np.all(slopes[[0, -1]] == 0.0)
+    if i in (1, 9):
+        # the interface cells copy their saved one-sided differences
+        np.testing.assert_array_equal(slopes[[i, i + 1]], expected[[i, i + 1]])
 
 
 # cells 7 and 8 of 16 sit on either side of the interface; a slab of rows

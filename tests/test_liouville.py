@@ -451,6 +451,11 @@ def whole_grid_galerkin_rhs(field, grid, barrier, stencil, kind, space, diagnost
     return project(rates, space)
 
 
+def stepping(rate):
+    """A rhs for `advance`: the rate at w, or with a dt the Euler step w + dt * rate(w)."""
+    return lambda w, dt=None: rate(w) if dt is None else w + dt * rate(w)
+
+
 def edge_grid(edge, nx=12, nv=8):
     # barrier edge `edge` of nx cells 0.25 wide
     return PhaseSpaceGrid(-0.25 * edge, 0.25 * (nx - edge), 1.0, nx, nv, 0.01)
@@ -460,13 +465,17 @@ def block_rhs_pair(kind, order, grid, stencil, space, ref_diag, work):
     """The block right-hand side and its whole-grid reference, for one kind of field."""
     if kind == "gpc":
         return (
-            lambda w: liouville.galerkin_rhs(w, grid, STEP, stencil, "tanh", space, work),
-            lambda w: whole_grid_galerkin_rhs(w, grid, STEP, stencil, "tanh", space, ref_diag),
+            lambda w, dt=None: liouville.galerkin_rhs(
+                w, grid, STEP, stencil, "tanh", space, work, dt
+            ),
+            stepping(
+                lambda w: whole_grid_galerkin_rhs(w, grid, STEP, stencil, "tanh", space, ref_diag)
+            ),
         )
     args = (grid, stencil, STEP.force([-0.8, 0.1, 0.9]), 0.3, order, "tanh")
     return (
-        lambda w: rhs_nodal(w, *args, work=work),
-        lambda w: whole_grid_rhs_nodal(w, *args, diagnostics=ref_diag),
+        lambda w, dt=None: rhs_nodal(w, *args, work=work, dt=dt),
+        stepping(lambda w: whole_grid_rhs_nodal(w, *args, diagnostics=ref_diag)),
     )
 
 
@@ -478,7 +487,9 @@ def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
     # blocks of 1, 2 and 3 rows and the whole grid, with euler and rk2
     # stepping: 3 nodes at orders 1 and 2, or 3 chaos modes at order 2, the
     # one order that steps coefficients; a random field feeds every row of
-    # the barrier gather, the truncated ones included
+    # the barrier gather, the truncated ones included.  An euler step, which
+    # the block rhs takes with a dt and writes block by block, also equals
+    # u + dt * rhs(u) of the block rhs on a fresh workspace
     grid = edge_grid(edge)
     stencil = BarrierStencil.build(grid, STEP)
     space = ChaosSpace.build(2)
@@ -492,12 +503,22 @@ def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
                 ref_diag = {}
                 work = Workspace()
                 rhs, reference = block_rhs_pair(kind, order, grid, stencil, space, ref_diag, work)
+                fresh_counts = Counter()
                 field = ref = start
                 for _ in range(3):
+                    if integrator == "euler":
+                        fresh = Workspace()
+                        fresh_rhs, _ = block_rhs_pair(kind, order, grid, stencil, space, {}, fresh)
+                        unfused = field + grid.dt * fresh_rhs(field)
+                        fresh_counts.update(fresh.counts)
                     field = advance(field, grid.dt, rhs, integrator, work)
                     ref = advance(ref, grid.dt, reference, integrator)
                     same_bits(field, ref)
+                    if integrator == "euler":
+                        same_bits(field, unfused)
                 assert work.counts["truncation_events"] == ref_diag["truncation_events"] > 0
+                if integrator == "euler":
+                    assert fresh_counts["truncation_events"] == ref_diag["truncation_events"]
 
 
 def test_rigid_step_stencil_reflects_one_way():
@@ -522,7 +543,7 @@ def test_rigid_step_stencil_reflects_one_way():
 
 def test_advance_euler_identity():
     u = np.arange(12.0).reshape(3, 4)
-    out = advance(u, 0.1, lambda w: np.zeros_like(w), "euler")
+    out = advance(u, 0.1, stepping(lambda w: np.zeros_like(w)), "euler")
     np.testing.assert_array_equal(out, u)
 
 
@@ -540,7 +561,7 @@ def test_advance_rk2_is_heun():
 def test_rk2_one_step_beats_euler_on_smooth_decay():
     # scalar surrogate du/dt = -u: compare one-step errors against exp(-dt)
     u = np.array([[1.0]])
-    rhs = lambda w: -w
+    rhs = stepping(lambda w: -w)
     dt = 0.1
     euler = advance(u, dt, rhs, "euler")[0, 0]
     heun = advance(u, dt, rhs, "rk2")[0, 0]
@@ -665,6 +686,45 @@ def test_an_order2_gpc_step_holds_no_array_of_the_whole_nodal_field(monkeypatch)
     assert max(shape[0] for shape in shapes if shape[-1] == count) < grid.nx // 4
 
 
+@pytest.mark.parametrize(
+    "order, nodal, integrator",
+    [(1, False, "euler"), (2, False, "euler"), (2, True, "euler"), (1, False, "rk2")],
+    ids=["gpc_order1", "gpc_order2", "nodal_order2", "gpc_order1_rk2"],
+)
+def test_an_euler_step_holds_two_states_and_no_full_size_rhs(monkeypatch, order, nodal, integrator):
+    # an euler step writes u + dt * rhs block by block into the state buffer
+    # that u is not, so the solve's workspace holds two arrays of the state's
+    # shape and no "rhs"; the limiter's means and the order-2 upwind states
+    # are written over arrays that the block already holds.  An rk2 step
+    # still keeps its first stage's slope
+    preset = PRESETS["example2_order2"]
+    grid = PhaseSpaceGrid(*(preset[key] for key in ("x_lo", "x_hi", "v_hi", "nx", "nv", "dt")))
+    barrier = PotentialBarrier(preset["v_left"], preset["v_right"], preset["slope_amp"])
+    workspaces = []
+
+    class Recorded(Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    monkeypatch.setattr(liouville, "Workspace", Recorded)
+    t_final = 2 * grid.dt
+    if nodal:
+        z = gauss_rule(5).nodes
+        run = liouville_solve_nodal(grid, barrier, z, t_final, order, integrator)
+    else:
+        run = liouville_solve_gpc(grid, barrier, preset["k"], t_final, order, integrator)
+    assert run.diagnostics["steps"] == 2
+    [work] = workspaces
+    held = {name: buf.shape for name, buf in work._buffers.items() if buf is not None}
+    full = sorted(name for name, shape in held.items() if shape == run.field.shape)
+    assert not {"limiter_mean", "upwind_states"} & held.keys()
+    if integrator == "euler":
+        assert full == ["next_state", "state"]
+    else:
+        assert full == ["first_slope", "next_state", "rhs", "state"]
+
+
 # --- coefficient-space right-hand side ---
 
 
@@ -700,7 +760,9 @@ def test_order1_solve_matches_a_march_of_the_galerkin_system(integrator, m, vflu
     )
     force = galerkin_matrix(STEP.force, ChaosSpace.build(2, m))
     counts = {}
-    rhs = lambda w: galerkin_system_rhs(w, grid, stencil, force, STEP.max_force, vflux, counts)
+    rhs = stepping(
+        lambda w: galerkin_system_rhs(w, grid, stencil, force, STEP.max_force, vflux, counts)
+    )
     values = PHASE_PROFILES["quarter_disks"](grid.x_centers[:, None], grid.v_centers[None, :])
     field = deterministic_coeffs(values, 2)
     for _ in range(run.diagnostics["steps"]):

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 tools/snapshot_outputs.py OUT_DIR
 
-Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on sixteen
+Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on seventeen
 preset variants (`VARIANTS`: order-2 collocation and deterministic runs of
 both problems, `example1_order2` on a rule of m = k + 1 = 21 nodes, the
 `tanh` and `sqrt_rational` limiters, `example2_order1` with the potential
@@ -14,7 +14,9 @@ step reversed, made too high to climb, and removed, rk2 runs of
 window narrow enough that density reaches its boundary rows,
 `example2_order2` on x in [-1.92, 2.1], which moves the barrier to x-edge
 64 of 134: there a block boundary of the step's 16-row blocks, which end
-in a short block of 6 rows, and `example2_order1` on x in [-0.99, 0.99],
+in a short block of 6 rows, `example2_order1` on x in [-1.98, 2.04], which
+moves it to x-edge 66, the boundary between the second and third of the
+order-1 step's 33-row blocks, and `example2_order1` on x in [-0.99, 0.99],
 where the quarter disk touches the left x boundary edge), and four sweeps
 (`SWEEPS`): on `example1_order1` the chaos-order sweep `--k 2..8 --ref 12`
 and the mesh sweep `--dx 0.02,0.01,0.005`, the mesh sweep `--dx 0.04,0.02`
@@ -47,8 +49,9 @@ from stochhyp.config import PRESETS  # noqa: E402
 # it is (k + 1)-node collocation), the limiter maps that no preset uses, the
 # barrier stencil's truncated, all-reflecting and no-jump rows, the rk2
 # stages of the gPC and nodal steps, the ratio v-flux, the boundary edges of
-# both v-fluxes, the barrier on a boundary between two blocks of x-rows, and
-# density at an x boundary edge, where the zero-gradient ghost feeds it in
+# both v-fluxes, the barrier on a boundary between two blocks of x-rows at
+# either order, and density at an x boundary edge, where the zero-gradient
+# ghost feeds it in
 VARIANTS = {
     "convection_order2_collocation": ("example1_collocation", "order = 2\n[random]\nm = 6\n"),
     "convection_order2_deterministic": (
@@ -68,6 +71,7 @@ VARIANTS = {
     "liouville_v_window": ("example2_order1", "[grid]\nv_hi = 0.81\nnv = 54\n"),
     "liouville_order2_v_window": ("example2_order2", "[grid]\nv_hi = 0.81\nnv = 54\n"),
     "liouville_order2_block_edge": ("example2_order2", "[grid]\nx_lo = -1.92\nx_hi = 2.1\n"),
+    "liouville_order1_block_edge": ("example2_order1", "[grid]\nx_lo = -1.98\nx_hi = 2.04\n"),
     "liouville_x_window": ("example2_order1", "[grid]\nx_lo = -0.99\nx_hi = 0.99\nnx = 66\n"),
 }
 
