@@ -402,8 +402,9 @@ def convection_solve_nodal(
     z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
     steps, values = _set_up_solve(coef, grid, t_final, order, profile, kind, z_nodes)
     step = _nodal_step(coef, grid, z_nodes, order, kind, Workspace())
-    ones = np.ones(grid.cells)
-    mass = lambda w: (ones @ w) * grid.dx
+    # numpy's column sums run in one order; a BLAS `ones @ w` splits long
+    # columns over its threads, and its last bits then follow the thread count
+    mass = lambda w: w.sum(0) * grid.dx
     return march(
         np.repeat(values[:, None], z_nodes.size, axis=1), step, steps, mass, "cell %d, node %d"
     )

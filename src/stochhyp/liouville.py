@@ -219,32 +219,42 @@ class BarrierStencil:
 # one contiguous operation between two views one row apart, uf[1:] and
 # uf[:-1].  The edge buffer has the state's shape: slot (i, j) holds edge
 # j+1/2 of x-row i.  Slot (i, nv-1), where the shifted views pair the top of
-# x-row i with the bottom of x-row i+1, is overwritten with x-row i's top
-# boundary edge.  The flux difference of slot j then reads slots j and j-1,
-# except at j = 0, which is recomputed from the bottom boundary edge.
+# x-row i with the bottom of x-row i+1, holds x-row i's top boundary edge
+# instead.  The flux difference of slot j then reads slots j and j-1,
+# except at j = 0, which is recomputed from the bottom boundary edge.  The
+# per-node factors are (nv, n) tables, built once per solve, so that each
+# multiplication runs over whole x-rows.  At order 1 they are the two
+# coefficients of an edge's neighbours, so the flux takes two table
+# products, one shifted add and one shifted difference.
 
 
 def _vflux_product(
     u: np.ndarray, force: np.ndarray, alpha: float, dv: float, work: Workspace
 ) -> np.ndarray:
-    # central flux for the v-advection term -force*u, in conservative form;
-    # zero-gradient ghosts collapse the boundary flux to -force*u_boundary
+    # central LF flux for the v-advection term -force*u, in conservative form
+    # and divided by -dv: edge j+1/2 is lower*u_j + upper*u_{j+1}.  The
+    # zero-gradient ghosts repeat the boundary state in both products, so a
+    # state constant in v gives exact zeros.
     n = u.shape[-1]
+    lower, upper = work.derived(
+        "vflux_product_factors",
+        lambda: tuple(
+            np.tile(f / -dv, (u.shape[1], 1))
+            for f in (0.5 * alpha - 0.5 * force, -0.5 * force - 0.5 * alpha)
+        ),
+    )
     edges = work.buffer("vflux_edges", u.shape)
     out = work.buffer("vflux", u.shape)
+    bottom = work.buffer("vflux_bottom_edges", (len(u), n))
     uf, ef, of = (a.reshape(-1, n) for a in (u, edges, out))
-    scratch = of[:-1]  # free until the flux difference fills out
-    np.add(uf[:-1], uf[1:], out=scratch)
-    of[-1] = 0.0  # no sum; its product lands in a top boundary slot, overwritten below
-    np.multiply(out, -0.5 * force, out=edges)
-    np.subtract(uf[1:], uf[:-1], out=scratch)
-    scratch *= 0.5 * alpha
-    ef[:-1] -= scratch
-    np.multiply(u[:, -1], -force, out=edges[:, -1])
+    np.multiply(u, lower, out=edges)
+    np.multiply(u, upper, out=out)
+    np.add(edges[:, 0], out[:, 0], out=bottom)
+    edges[:, -1] += out[:, -1]
+    out[:, 0] = 0.0  # so that the shifted add leaves the top boundary slots as they are
+    ef[:-1] += of[1:]
     np.subtract(ef[1:], ef[:-1], out=of[1:])
-    np.subtract(edges[:, 0], u[:, 0] * -force, out=out[:, 0])
-    # dividing by -dv negates every bit, signed zeros included
-    out /= -dv
+    np.subtract(edges[:, 0], bottom, out=out[:, 0])
     return out
 
 
@@ -567,6 +577,17 @@ def _set_up_solve(
     return steps, alpha, stencil, values, work
 
 
+def _node_sums(w: np.ndarray) -> np.ndarray:
+    """Sums over the cells of an (nx, nv, n) field, one per node.
+
+    numpy adds the rows in one fixed order; a BLAS product with a vector of
+    ones splits the sum over its threads, so its last bits would depend on
+    the thread count.
+    """
+    nx, nv, n = w.shape
+    return w.reshape(nx, -1).sum(0).reshape(nv, n).sum(0)
+
+
 def _nodal_step(grid, barrier, stencil, nodes, alpha, order, integrator, kind, vflux, work):
     """The scheme as a time step of (nx, nv, nodes) samples, the force per node."""
     force = barrier.force(nodes)
@@ -600,8 +621,7 @@ def liouville_solve_nodal(
     step = _nodal_step(
         grid, barrier, stencil, z_nodes, alpha, order, integrator, kind, vflux_variant, work
     )
-    ones = np.ones(grid.nx * grid.nv)
-    mass = lambda w: (ones @ w.reshape(-1, z_nodes.size)) * (grid.dx * grid.dv)
+    mass = lambda w: _node_sums(w) * (grid.dx * grid.dv)
     u, diagnostics = march(
         np.repeat(values[:, :, None], z_nodes.size, axis=2), step, steps, mass,
         "cell (%d, %d), node %d", track_range=True,
@@ -662,8 +682,7 @@ def liouville_solve_gpc(
             grid, barrier, stencil, space.rule.nodes, alpha, 1, integrator, kind, vflux_variant,
             work,
         )
-        ones = np.ones(grid.nx * grid.nv)
-        mass = lambda w: float((ones @ w.reshape(-1, k + 1)) @ space.rule.weights * cell)
+        mass = lambda w: float(_node_sums(w) @ space.rule.weights * cell)
         samples, diagnostics = march(
             np.repeat(values[:, :, None], k + 1, axis=2), step, steps, mass,
             "cell (%d, %d), node %d",

@@ -1,6 +1,10 @@
 """Command line harness: exit codes, output files, and reproducibility."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +99,34 @@ def test_reruns_are_byte_identical(tmp_path):
     assert main(["run", cfg]) == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the per-node masses are numpy sums in one fixed order; a BLAS product
+    # with a vector of ones splits a long sum over its threads, and the mass
+    # lines of run.txt then moved in their last bits with the thread count
+    outputs = []
+    for threads in ("1", "2"):
+        cfg = write_config(
+            tmp_path, "preset = example2_deterministic\nt_final = 0.1\n",
+            out_name="out%s" % threads, name="threads%s.cfg" % threads,
+        )
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        )
+        code = "import sys; from stochhyp.cli import main; sys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", code, "run", cfg], env=env, check=True, capture_output=True)
+        files = {}
+        for path in sorted((tmp_path / ("out%s" % threads)).iterdir()):
+            lines = path.read_bytes().splitlines(keepends=True)
+            files[path.name] = b"".join(l for l in lines if not l.startswith(b"wall_time = "))
+        outputs.append(files)
+    assert "run.txt" in outputs[0] and "moments.csv" in outputs[0]
+    assert outputs[0].keys() == outputs[1].keys()
+    for name, blob in outputs[0].items():
+        assert outputs[1][name] == blob, name
 
 
 def test_liouville_run_emits_phase_space_columns(tmp_path):

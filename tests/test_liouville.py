@@ -285,7 +285,9 @@ def times(values, op, out=None):
 
 
 def strided_vflux_product(u, force, alpha, dv):
-    # reference: the v-flux written over (nx, nv + 1, n) edges with strided views
+    # reference: the order-1 v-flux in product form, -force/2*(u_j + u_{j+1})
+    # - alpha/2*(u_{j+1} - u_j), over (nx, nv + 1, n) edges with strided views;
+    # with a Galerkin matrix as `force` it is the v-flux of the paper's SG system
     flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
     out = np.empty(u.shape)
     inner = flux[:, 1:-1]
@@ -300,6 +302,19 @@ def strided_vflux_product(u, force, alpha, dv):
     np.negative(out, out=out)
     out /= dv
     return out
+
+
+def strided_vflux_tables(u, force, alpha, dv):
+    # reference: the order-1 v-flux from its two per-node coefficients, over
+    # (nx, nv + 1, n) edges with strided views; edge j+1/2 is
+    # lower*u_j + upper*u_{j+1}, and each ghost repeats its boundary state
+    lower = (0.5 * alpha - 0.5 * force) / -dv
+    upper = (-0.5 * force - 0.5 * alpha) / -dv
+    flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
+    np.add(lower * u[:, :-1], upper * u[:, 1:], out=flux[:, 1:-1])
+    flux[:, 0] = lower * u[:, 0] + upper * u[:, 0]
+    flux[:, -1] = lower * u[:, -1] + upper * u[:, -1]
+    return np.subtract(flux[:, 1:], flux[:, :-1])
 
 
 def strided_vflux_ratio(u, force, alpha, dv):
@@ -363,8 +378,38 @@ def test_contiguous_vflux_product_matches_the_strided_one_bitwise(shape, force_k
     for u in fields:  # the second call sees the first call's buffers
         same_bits(
             liouville._vflux_product(u, force, 0.3, 0.05, work),
-            strided_vflux_product(u, force, 0.3, 0.05),
+            strided_vflux_tables(u, force, 0.3, 0.05),
         )
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
+@pytest.mark.parametrize("force_kind", ["nodal", "gauss"])
+def test_vflux_tables_agree_with_the_product_form_to_a_few_ulp(shape, force_kind):
+    # the tables regroup the product form's arithmetic: each rate may move by
+    # a few units in the last place of the flux scale (|force| + alpha)*|u|/dv
+    rng, fields = vflux_fields(shape, 13)
+    n = shape[-1]
+    force = rng.uniform(-0.2, 0.2, n) if force_kind == "nodal" else STEP.force(gauss_rule(n).nodes)
+    alpha, dv = 0.3, 0.05
+    work = Workspace()
+    for u in fields:
+        scale = (np.abs(force).max() + alpha) * np.abs(u).max() / dv
+        np.testing.assert_allclose(
+            liouville._vflux_product(u, force, alpha, dv, work),
+            strided_vflux_product(u, force, alpha, dv),
+            rtol=0.0, atol=8.0 * np.spacing(scale),
+        )
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
+def test_vflux_of_a_state_constant_in_v_is_exactly_zero(shape):
+    # both ghosts go through the same two products as the interior edges,
+    # so every edge flux of an x-row has the same bits, at the boundary rows too
+    rng = np.random.default_rng(14)
+    u = np.repeat(rng.standard_normal((shape[0], 1, shape[2])), shape[1], axis=1)
+    force = rng.uniform(0.05, 0.2, shape[2]) * rng.choice([-1.0, 1.0], shape[2])
+    out = liouville._vflux_product(u, force, 0.3, 0.05, Workspace())
+    np.testing.assert_array_equal(out, 0.0)
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
