@@ -165,7 +165,7 @@ def reads(problem: str | None, mode: str, order: int) -> tuple[str, ...]:
     elif problem == "liouville":
         fields += ["x_lo", "x_hi", "v_hi", "nx", "nv", "v_left", "v_right", "slope_amp", "integrator"]
         if order == 1:
-            # the order-2 v-flux (_vflux_second) reads neither
+            # the order-2 v-flux tables read neither: their viscosity is force^2*dt/dv
             fields += ["vflux", "alpha"]
     if order == 2:
         fields.append("limiter")

@@ -192,7 +192,7 @@ def step_second_order_nodal(
     work = Workspace() if work is None else work
     offsets = limited_slopes(field, dx, interface_index, kind, work)
     offsets *= dx / 2.0
-    # ROADMAP item 1 rewrites this edge state; item 8 then shares one helper with Liouville
+    # ROADMAP item 1 rewrites this edge state; its step (d) shares one helper with Liouville
     edges = np.add(field, offsets, out=work.buffer("edges", field.shape))
     return _upwind(field, edges, lam_minus, lam_plus, interface_index, work)
 

@@ -214,39 +214,56 @@ class BarrierStencil:
         return cls(right_side, left_side, trunc)
 
 
-# The v-fluxes view each (nx, nv, n) array as nx*nv contiguous rows of n
+# The v-flux is the central flux of the paper, F_{j+1/2} = -f/2*(u_j + u_{j+1})
+# - a/2*(u_{j+1} - u_j), for the v-advection term -f*u with a per-node
+# transport coefficient f and viscosity a.  Three (f, a) pairs use it:
+# (force, alpha), Lax-Friedrichs, at order 1; (-force, alpha) for the legacy
+# `vflux = ratio` form, whose transport runs the other way; and (force,
+# force^2*dt/dv) at order 2, the one-step Lax-Wendroff flux: its edge value
+# (u_j + u_{j+1})/2 + f*dt/(2*dv)*(u_{j+1} - u_j), times -f, is the central
+# flux above with a = f^2*dt/dv, so Lax-Wendroff is Lax-Friedrichs with that
+# per-node viscosity, and with euler stepping it gives the classical
+# second-order update.  Divided by -dv, edge j+1/2 is lower*u_j +
+# upper*u_{j+1}, with the (nv, n) tables lower = (a/2 - f/2)/(-dv) and
+# upper = (-f/2 - a/2)/(-dv), built once per solve so that each
+# multiplication runs over whole x-rows.
+#
+# The kernel views each (nx, nv, n) array as nx*nv contiguous rows of n
 # values, cell (i, j) in row i*nv + j, so every v-edge sum or difference is
-# one contiguous operation between two views one row apart, uf[1:] and
-# uf[:-1].  The edge buffer has the state's shape: slot (i, j) holds edge
-# j+1/2 of x-row i.  Slot (i, nv-1), where the shifted views pair the top of
-# x-row i with the bottom of x-row i+1, holds x-row i's top boundary edge
-# instead.  The flux difference of slot j then reads slots j and j-1,
-# except at j = 0, which is recomputed from the bottom boundary edge.  The
-# per-node factors are (nv, n) tables, built once per solve, so that each
-# multiplication runs over whole x-rows.  At order 1 they are the two
-# coefficients of an edge's neighbours, so the flux takes two table
+# one contiguous operation between two views one row apart.  The edge
+# buffer has the state's shape: slot (i, j) holds edge j+1/2 of x-row i.
+# Slot (i, nv-1), where the shifted views pair the top of x-row i with the
+# bottom of x-row i+1, holds x-row i's top boundary edge instead.  The flux
+# difference of slot j then reads slots j and j-1, except at j = 0, which
+# is recomputed from the bottom boundary edge.  The flux takes two table
 # products, one shifted add and one shifted difference.
 
 
-def _vflux_product(
-    u: np.ndarray, force: np.ndarray, alpha: float, dv: float, work: Workspace
-) -> np.ndarray:
-    # central LF flux for the v-advection term -force*u, in conservative form
-    # and divided by -dv: edge j+1/2 is lower*u_j + upper*u_{j+1}.  The
+def _vflux_tables(grid, force, alpha=None, vflux_variant="product"):
+    """The tables (lower, upper) of the v-flux, each of shape (nv, n).
+
+    With an LF viscosity `alpha` the pair (f, a) is (force, alpha), or
+    (-force, alpha) for the ratio form; without one it is order 2's (force,
+    force^2*dt/dv).
+    """
+    if alpha is None:
+        f, a = force, force * force * grid.dt / grid.dv
+    else:
+        f, a = (force if vflux_variant == "product" else -force), alpha
+    return tuple(
+        np.tile(c / -grid.dv, (grid.nv, 1)) for c in (0.5 * a - 0.5 * f, -0.5 * f - 0.5 * a)
+    )
+
+
+def _vflux(u: np.ndarray, lower: np.ndarray, upper: np.ndarray, work: Workspace) -> np.ndarray:
+    # the flux difference of the edges lower*u_j + upper*u_{j+1}.  The
     # zero-gradient ghosts repeat the boundary state in both products, so a
     # state constant in v gives exact zeros.
     n = u.shape[-1]
-    lower, upper = work.derived(
-        "vflux_product_factors",
-        lambda: tuple(
-            np.tile(f / -dv, (u.shape[1], 1))
-            for f in (0.5 * alpha - 0.5 * force, -0.5 * force - 0.5 * alpha)
-        ),
-    )
     edges = work.buffer("vflux_edges", u.shape)
     out = work.buffer("vflux", u.shape)
     bottom = work.buffer("vflux_bottom_edges", (len(u), n))
-    uf, ef, of = (a.reshape(-1, n) for a in (u, edges, out))
+    ef, of = (a.reshape(-1, n) for a in (edges, out))
     np.multiply(u, lower, out=edges)
     np.multiply(u, upper, out=out)
     np.add(edges[:, 0], out[:, 0], out=bottom)
@@ -255,51 +272,6 @@ def _vflux_product(
     ef[:-1] += of[1:]
     np.subtract(ef[1:], ef[:-1], out=of[1:])
     np.subtract(edges[:, 0], bottom, out=out[:, 0])
-    return out
-
-
-def _vflux_ratio(u: np.ndarray, force: np.ndarray, alpha: float, dv: float) -> np.ndarray:
-    # legacy central form, multiplied through to stay regular at force = 0;
-    # its transport term runs opposite to the product form (comparison only)
-    out = np.zeros_like(u)
-    out[:, 1:-1] = (
-        (0.5 * alpha) * (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2])
-        - (u[:, 2:] - u[:, :-2]) * (0.5 * force)
-    ) / dv
-    diff = u[:, 1] - u[:, 0]
-    out[:, 0] = ((0.5 * alpha) * diff - diff * (0.5 * force)) / dv
-    out[:, -1] = (
-        (0.5 * alpha) * (u[:, -2] - u[:, -1]) - (u[:, -1] - u[:, -2]) * (0.5 * force)
-    ) / dv
-    return out
-
-
-def _vflux_second(
-    u: np.ndarray, force: np.ndarray, dt: float, dv: float, work: Workspace
-) -> np.ndarray:
-    # one-step second-order edge values; the dt term makes euler stepping
-    # reproduce the classical second-order update exactly.  The per-node
-    # factors are tiled over the v-rows so that each multiplication runs
-    # over whole x-rows.
-    n = u.shape[-1]
-    slope, force_rows = work.derived(
-        "vflux_second_factors",
-        lambda: tuple(np.tile(f, (u.shape[1], 1)) for f in (force * dt / (2.0 * dv), force)),
-    )
-    edges = work.buffer("vflux_edges", u.shape)
-    out = work.buffer("vflux", u.shape)
-    uf, ef, of = (a.reshape(-1, n) for a in (u, edges, out))
-    np.subtract(uf[1:], uf[:-1], out=of[1:])  # out is free until the end
-    np.add(uf[:-1], uf[1:], out=ef[:-1])
-    ef[:-1] *= 0.5
-    out[0, 0] = 0.0  # the difference leaves it stale until it is recomputed below
-    out *= slope
-    ef[:-1] += of[1:]
-    edges[:, -1] = u[:, -1]
-    np.subtract(ef[1:], ef[:-1], out=of[1:])
-    np.subtract(edges[:, 0], u[:, 0], out=out[:, 0])
-    np.multiply(force_rows, out, out=out)
-    out /= dv
     return out
 
 
@@ -334,10 +306,11 @@ def _row_blocks(grid: PhaseSpaceGrid, n: int):
 # half rows about as fast as whole ones, but computes on them more slowly.
 
 
-def _rhs_block(
-    u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, work, space=None
-) -> None:
-    """Fill rows [a, b) of `out`; with a chaos `space`, u holds coefficients to project."""
+def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=None) -> None:
+    """Fill rows [a, b) of `out`; with a chaos `space`, u holds coefficients to project.
+
+    `tables` are the v-flux's (lower, upper), from `_vflux_tables`.
+    """
     nx, half = grid.nx, grid.nv // 2
     il, ir = grid.barrier_edge - 1, grid.barrier_edge
     lo, hi = max(a - order, 0), min(b + order, nx)
@@ -405,18 +378,12 @@ def _rhs_block(
     rates = out[a:b] if space is None else work.buffer("nodal_rates", (b - a,) + slab.shape[1:])
     rates[:, half:] = diffs[:-1, half:]
     rates[:, :half] = diffs[1:, :half]
-    rows = slab[a - lo : b - lo]
-    if order == 2:
-        rates += _vflux_second(rows, force, grid.dt, grid.dv, work)
-    elif vflux_variant == "product":
-        rates += _vflux_product(rows, force, alpha, grid.dv, work)
-    else:
-        rates += _vflux_ratio(rows, force, alpha, grid.dv)
+    rates += _vflux(slab[a - lo : b - lo], *tables, work)
     if space is not None:
         project(rates, space, out=out[a:b])
 
 
-def _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work, space, dt):
+def _rhs(u, grid, stencil, tables, order, kind, work, space, dt):
     """The right-hand side in `work`'s "rhs" buffer, one block of x-rows at a time.
 
     With a `dt`, each block is instead stepped, u + dt * rhs, while it is in
@@ -424,9 +391,7 @@ def _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work, space
     """
     out = work.buffer("rhs", u.shape) if dt is None else work.state_after(u)
     for a, b in _row_blocks(grid, u.shape[-1] if space is None else space.count):
-        _rhs_block(
-            u, a, b, out, grid, stencil, force, alpha, order, kind, vflux_variant, work, space
-        )
+        _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space)
         if dt is not None:
             np.multiply(dt, out[a:b], out=out[a:b])
             np.add(u[a:b], out[a:b], out=out[a:b])
@@ -450,10 +415,16 @@ def rhs_nodal(
     u holds samples at n nodes of z, and `force` the force at each of them,
     shape (n,).  Barrier events go to `work.counts`.  With a `dt`, the result
     is instead the Euler step u + dt * rhs, written block by block into the
-    state buffer of `work` that is not u; no "rhs" buffer is made.
+    state buffer of `work` that is not u; no "rhs" buffer is made.  The
+    v-flux's tables are built on the first call with `work`, which then
+    serves these force, alpha, order and vflux_variant only.
     """
     work = Workspace() if work is None else work
-    return _rhs(u, grid, stencil, force, alpha, order, kind, vflux_variant, work, None, dt)
+    tables = work.derived(
+        "vflux_tables",
+        lambda: _vflux_tables(grid, force, alpha if order == 1 else None, vflux_variant),
+    )
+    return _rhs(u, grid, stencil, tables, order, kind, work, None, dt)
 
 
 def advance(
@@ -647,9 +618,10 @@ def galerkin_rhs(
     each block goes on to the Euler step, as in `rhs_nodal`.
     """
     work = Workspace() if work is None else work
-    force = work.derived("force", lambda: barrier.force(space.rule.nodes))
-    # alpha: the order-2 v-flux has no LF viscosity
-    return _rhs(field, grid, stencil, force, 0.0, 2, kind, "product", work, space, dt)
+    tables = work.derived(
+        "vflux_tables", lambda: _vflux_tables(grid, barrier.force(space.rule.nodes))
+    )
+    return _rhs(field, grid, stencil, tables, 2, kind, work, space, dt)
 
 
 def liouville_solve_gpc(

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -304,12 +305,12 @@ def strided_vflux_product(u, force, alpha, dv):
     return out
 
 
-def strided_vflux_tables(u, force, alpha, dv):
-    # reference: the order-1 v-flux from its two per-node coefficients, over
-    # (nx, nv + 1, n) edges with strided views; edge j+1/2 is
-    # lower*u_j + upper*u_{j+1}, and each ghost repeats its boundary state
-    lower = (0.5 * alpha - 0.5 * force) / -dv
-    upper = (-0.5 * force - 0.5 * alpha) / -dv
+def strided_vflux_tables(u, f, a, dv):
+    # reference: the v-flux of the pair (f, a) from its two per-node
+    # coefficients, over (nx, nv + 1, n) edges with strided views; edge j+1/2
+    # is lower*u_j + upper*u_{j+1}, and each ghost repeats its boundary state
+    lower = (0.5 * a - 0.5 * f) / -dv
+    upper = (-0.5 * f - 0.5 * a) / -dv
     flux = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
     np.add(lower * u[:, :-1], upper * u[:, 1:], out=flux[:, 1:-1])
     flux[:, 0] = lower * u[:, 0] + upper * u[:, 0]
@@ -333,7 +334,8 @@ def strided_vflux_ratio(u, force, alpha, dv):
 
 
 def strided_vflux_second(u, force, dt, dv):
-    # reference: the order-2 v-flux with per-node factors broadcast over rows
+    # reference: the order-2 v-flux in its one-step Lax-Wendroff form, with
+    # per-node factors broadcast over rows
     edge = np.empty((u.shape[0], u.shape[1] + 1, u.shape[2]))
     out = np.empty(u.shape)
     inner = edge[:, 1:-1]
@@ -363,67 +365,97 @@ def vflux_fields(shape, seed):
     return rng, fields
 
 
-@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
-@pytest.mark.parametrize("force_kind", ["nodal", "gauss"])
-def test_contiguous_vflux_product_matches_the_strided_one_bitwise(shape, force_kind):
+VFLUX_SHAPES = [(4, 4, 1), (7, 10, 5), (20, 6, 22)]
+ALPHA, DT, DV = 0.3, 0.1, 0.05
+
+
+def vflux_cases(*force_kinds):
+    """(form, shape[, force_kind]) cases for the three v-flux forms.
+
+    The forms are order 1, the legacy ratio form and order 2.  Order 1's ids
+    carry no form, as when it was the only one: "gauss-shape0", then
+    "ratio-gauss-shape0" and "order2-gauss-shape0".
+    """
+    cases = []
+    for form in ("order1", "ratio", "order2"):
+        for kind in force_kinds or (None,):
+            for i, shape in enumerate(VFLUX_SHAPES):
+                parts = ([] if form == "order1" else [form]) + ([kind] if kind else [])
+                values = (form, shape) if kind is None else (form, shape, kind)
+                cases.append(pytest.param(*values, id="-".join(parts + ["shape%d" % i])))
+    return cases
+
+
+def vflux_pair(form, force):
+    # (f, a) of each form: LF at order 1, its transport reversed in the ratio
+    # form, and order 2's Lax-Wendroff viscosity force^2*dt/dv
+    if form == "order2":
+        return force, force * force * DT / DV
+    return (force if form == "order1" else -force), ALPHA
+
+
+def kernel_vflux(form, u, force, work):
+    # the solver's tables for the form, through its one kernel
+    grid = SimpleNamespace(dt=DT, dv=DV, nv=u.shape[1])
+    alpha = None if form == "order2" else ALPHA
+    variant = "ratio" if form == "ratio" else "product"
+    return liouville._vflux(u, *liouville._vflux_tables(grid, force, alpha, variant), work)
+
+
+def old_vflux(form, u, force):
+    # each form in the arithmetic the solver used before its tables
+    if form == "order2":
+        return strided_vflux_second(u, force, DT, DV)
+    old = strided_vflux_product if form == "order1" else strided_vflux_ratio
+    return old(u, force, ALPHA, DV)
+
+
+def vflux_force(rng, n, force_kind):
     # "gauss" is the force at the nodes of an n-node Gauss rule; an odd rule,
     # such as the k + 1 nodes of an order-1 SG solve at even k, holds z = 0,
     # whose force is exactly zero and whose products are signed zeros
+    return rng.uniform(-0.2, 0.2, n) if force_kind == "nodal" else STEP.force(gauss_rule(n).nodes)
+
+
+@pytest.mark.parametrize("form, shape, force_kind", vflux_cases("gauss", "nodal"))
+def test_contiguous_vflux_product_matches_the_strided_one_bitwise(form, shape, force_kind):
+    # the kernel's two table products against a strided reference of the
+    # same arithmetic, for each form's pair (f, a)
     rng, fields = vflux_fields(shape, 11)
-    n = shape[-1]
-    force = rng.uniform(-0.2, 0.2, n) if force_kind == "nodal" else STEP.force(gauss_rule(n).nodes)
+    force = vflux_force(rng, shape[-1], force_kind)
     work = Workspace()
     work.buffer("vflux_edges", shape).fill(np.nan)
     work.buffer("vflux", shape).fill(np.nan)
+    work.buffer("vflux_bottom_edges", (shape[0], shape[-1])).fill(np.nan)
     for u in fields:  # the second call sees the first call's buffers
-        same_bits(
-            liouville._vflux_product(u, force, 0.3, 0.05, work),
-            strided_vflux_tables(u, force, 0.3, 0.05),
-        )
+        reference = strided_vflux_tables(u, *vflux_pair(form, force), DV)
+        same_bits(kernel_vflux(form, u, force, work), reference)
 
 
-@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
-@pytest.mark.parametrize("force_kind", ["nodal", "gauss"])
-def test_vflux_tables_agree_with_the_product_form_to_a_few_ulp(shape, force_kind):
-    # the tables regroup the product form's arithmetic: each rate may move by
-    # a few units in the last place of the flux scale (|force| + alpha)*|u|/dv
+@pytest.mark.parametrize("form, shape, force_kind", vflux_cases("gauss", "nodal"))
+def test_vflux_tables_agree_with_the_product_form_to_a_few_ulp(form, shape, force_kind):
+    # the tables regroup each form's earlier arithmetic: each rate may move
+    # by a few units in the last place of the flux scale (|f| + a)*|u|/dv
     rng, fields = vflux_fields(shape, 13)
-    n = shape[-1]
-    force = rng.uniform(-0.2, 0.2, n) if force_kind == "nodal" else STEP.force(gauss_rule(n).nodes)
-    alpha, dv = 0.3, 0.05
+    force = vflux_force(rng, shape[-1], force_kind)
+    f, a = vflux_pair(form, force)
     work = Workspace()
     for u in fields:
-        scale = (np.abs(force).max() + alpha) * np.abs(u).max() / dv
+        scale = np.max(np.abs(f) + a) * np.abs(u).max() / DV
         np.testing.assert_allclose(
-            liouville._vflux_product(u, force, alpha, dv, work),
-            strided_vflux_product(u, force, alpha, dv),
+            kernel_vflux(form, u, force, work), old_vflux(form, u, force),
             rtol=0.0, atol=8.0 * np.spacing(scale),
         )
 
 
-@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
-def test_vflux_of_a_state_constant_in_v_is_exactly_zero(shape):
+@pytest.mark.parametrize("form, shape", vflux_cases())
+def test_vflux_of_a_state_constant_in_v_is_exactly_zero(form, shape):
     # both ghosts go through the same two products as the interior edges,
     # so every edge flux of an x-row has the same bits, at the boundary rows too
     rng = np.random.default_rng(14)
     u = np.repeat(rng.standard_normal((shape[0], 1, shape[2])), shape[1], axis=1)
     force = rng.uniform(0.05, 0.2, shape[2]) * rng.choice([-1.0, 1.0], shape[2])
-    out = liouville._vflux_product(u, force, 0.3, 0.05, Workspace())
-    np.testing.assert_array_equal(out, 0.0)
-
-
-@pytest.mark.parametrize("shape", [(4, 4, 1), (7, 10, 5), (20, 6, 22)])
-def test_contiguous_vflux_second_matches_the_strided_one_bitwise(shape):
-    rng, fields = vflux_fields(shape, 12)
-    force = rng.uniform(-0.2, 0.2, shape[-1])
-    work = Workspace()
-    work.buffer("vflux_edges", shape).fill(np.nan)
-    work.buffer("vflux", shape).fill(np.nan)
-    for u in fields:
-        same_bits(
-            liouville._vflux_second(u, force, 0.002, 0.05, work),
-            strided_vflux_second(u, force, 0.002, 0.05),
-        )
+    np.testing.assert_array_equal(kernel_vflux(form, u, force, Workspace()), 0.0)
 
 
 def whole_grid_x_transport(u, grid, stencil, order=1, kind="arctan", diagnostics=None, work=None):
@@ -477,12 +509,8 @@ def whole_grid_rhs_nodal(
     # reference: the right-hand side computed on whole-grid arrays
     work = Workspace() if work is None else work
     out = whole_grid_x_transport(u, grid, stencil, order, kind, diagnostics, work)
-    if order == 2:
-        out += liouville._vflux_second(u, force, grid.dt, grid.dv, work)
-    elif vflux_variant == "product":
-        out += liouville._vflux_product(u, force, alpha, grid.dv, work)
-    else:
-        out += liouville._vflux_ratio(u, force, alpha, grid.dv)
+    tables = liouville._vflux_tables(grid, force, alpha if order == 1 else None, vflux_variant)
+    out += liouville._vflux(u, *tables, work)
     return out
 
 
@@ -666,8 +694,11 @@ def test_rk2_refuses_a_rhs_whose_workspace_it_was_not_given():
         lambda grid: liouville_solve_gpc(grid, STEP, 4, 0.04),
         lambda grid: liouville_solve_gpc(grid, STEP, 4, 0.04, order=2),
         lambda grid: liouville_solve_nodal(grid, STEP, gauss_rule(5).nodes, 0.04, integrator="rk2"),
+        lambda grid: liouville_solve_nodal(
+            grid, STEP, gauss_rule(5).nodes, 0.04, vflux_variant="ratio"
+        ),
     ],
-    ids=["gpc_order1", "gpc_order2", "nodal_rk2"],
+    ids=["gpc_order1", "gpc_order2", "nodal_rk2", "nodal_ratio"],
 )
 def test_a_steady_state_step_allocates_almost_nothing(monkeypatch, solve):
     # after one warm-up step the solve's workspace holds every full-size
