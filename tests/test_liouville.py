@@ -432,6 +432,25 @@ def test_contiguous_vflux_product_matches_the_strided_one_bitwise(form, shape, f
         same_bits(kernel_vflux(form, u, force, work), reference)
 
 
+@pytest.mark.parametrize("shape", VFLUX_SHAPES)
+def test_contiguous_vflux_second_matches_the_strided_one_bitwise(shape):
+    # the order-2 v-flux from the solver's own tables, at a step of its own,
+    # against a strided reference of Lax-Wendroff's pair (force, force^2*dt/dv)
+    dt, dv = 0.002, 0.05
+    rng, fields = vflux_fields(shape, 12)
+    force = rng.uniform(-0.2, 0.2, shape[-1])
+    grid = SimpleNamespace(dt=dt, dv=dv, nv=shape[1])
+    work = Workspace()
+    work.buffer("vflux_edges", shape).fill(np.nan)
+    work.buffer("vflux", shape).fill(np.nan)
+    work.buffer("vflux_bottom_edges", (shape[0], shape[-1])).fill(np.nan)
+    for u in fields:
+        same_bits(
+            liouville._vflux(u, *liouville._vflux_tables(grid, force), work),
+            strided_vflux_tables(u, force, force * force * dt / dv, dv),
+        )
+
+
 @pytest.mark.parametrize("form, shape, force_kind", vflux_cases("gauss", "nodal"))
 def test_vflux_tables_agree_with_the_product_form_to_a_few_ulp(form, shape, force_kind):
     # the tables regroup each form's earlier arithmetic: each rate may move
