@@ -102,14 +102,15 @@ def limited_slopes(
     its step returns.
 
     `work` holds three buffers: the differences, over which the mapped
-    means are written, the mapped differences, over which the slopes are
-    written, and the two differences that the interface cells read.
+    means are written, in its "scratch"; the mapped differences, over which
+    the slopes are written, in its "scratch_result"; and the two
+    differences that the interface cells read.
     """
     forward, inverse = limiter_maps(kind)
     work = Workspace() if work is None else work
     # d[j] is the difference across the right edge of cell j; interior cell
     # j averages d[j - 1] and d[j], and the end cells are flat
-    d = work.buffer("limiter_differences", (u.shape[0] - 1,) + u.shape[1:])
+    d = work.buffer("scratch", (u.shape[0] - 1,) + u.shape[1:])
     np.subtract(u[1:], u[:-1], out=d)
     d /= dx
     # the interface cells, when inside the slab, keep the differences on their side
@@ -120,7 +121,7 @@ def limited_slopes(
         saved[0] = d[i - 1]
     if right:
         saved[1] = d[i + 1]
-    slopes = work.buffer("limiter_mapped", u.shape)
+    slopes = work.buffer("scratch_result", u.shape)
     mapped = forward(d, slopes[:-1])
     # the differences are spent: their mapped means take their place, and
     # the slopes then take the place of the mapped differences

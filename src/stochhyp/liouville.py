@@ -256,12 +256,13 @@ def _vflux_tables(grid, force, alpha=None, vflux_variant="product"):
 
 
 def _vflux(u: np.ndarray, lower: np.ndarray, upper: np.ndarray, work: Workspace) -> np.ndarray:
-    # the flux difference of the edges lower*u_j + upper*u_{j+1}.  The
-    # zero-gradient ghosts repeat the boundary state in both products, so a
-    # state constant in v gives exact zeros.
+    # the flux difference of the edges lower*u_j + upper*u_{j+1}, in `work`'s
+    # "scratch_result", with the edges in its "scratch".  The zero-gradient
+    # ghosts repeat the boundary state in both products, so a state constant
+    # in v gives exact zeros.
     n = u.shape[-1]
-    edges = work.buffer("vflux_edges", u.shape)
-    out = work.buffer("vflux", u.shape)
+    edges = work.buffer("scratch", u.shape)
+    out = work.buffer("scratch_result", u.shape)
     bottom = work.buffer("vflux_bottom_edges", (len(u), n))
     ef, of = (a.reshape(-1, n) for a in (edges, out))
     np.multiply(u, lower, out=edges)
@@ -304,12 +305,20 @@ def _row_blocks(grid: PhaseSpaceGrid, n: int):
 # states, and the barrier edge ir - 1/2 are rewritten first.  The x speed
 # then scales whole rows, and each half is copied into place: numpy copies
 # half rows about as fast as whole ones, but computes on them more slowly.
+#
+# Besides its slab and its rows of the result, a block holds the
+# workspace's scratch pair, which its layers take in turn: the limiter's
+# differences and then `diffs` are in "scratch", the limiter's slopes and
+# then the order-2 `upwind` in "scratch_result"; once the halves of `diffs`
+# are copied into the rates, the v-flux takes both, its edges in "scratch"
+# and its result in "scratch_result".  At order 2 gPC the block adds its
+# slab at the nodes and its nodal rates.
 
 
 def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=None) -> None:
     """Fill rows [a, b) of `out`; with a chaos `space`, u holds coefficients to project.
 
-    `tables` are the v-flux's (lower, upper), from `_vflux_tables`.
+    `tables` are the x speed and the v-flux's (lower, upper), from `_step_tables`.
     """
     nx, half = grid.nx, grid.nv // 2
     il, ir = grid.barrier_edge - 1, grid.barrier_edge
@@ -320,10 +329,7 @@ def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=Non
             slab, space.table, out=work.buffer("nodal_values", slab.shape[:-1] + (space.count,))
         )
     n = slab.shape[-1]
-    # the x speed of each v-row, tiled over the last axis
-    speed = work.derived(
-        "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], n, 1)
-    )
+    speed, lower, upper = tables
 
     if order == 1:
         upwind = slab
@@ -344,7 +350,7 @@ def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=Non
             )
         upwind = np.subtract(slab, offsets, out=offsets)
 
-    diffs = work.buffer("upwind_differences", (b - a + 1,) + slab.shape[1:])
+    diffs = work.buffer("scratch", (b - a + 1,) + slab.shape[1:])
     first, last = max(a, 1), min(b + 1, nx)  # rows whose left edge is interior
     np.subtract(
         upwind[first - lo : last - lo], upwind[first - 1 - lo : last - 1 - lo],
@@ -378,23 +384,39 @@ def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=Non
     rates = out[a:b] if space is None else work.buffer("nodal_rates", (b - a,) + slab.shape[1:])
     rates[:, half:] = diffs[:-1, half:]
     rates[:, :half] = diffs[1:, :half]
-    rates += _vflux(slab[a - lo : b - lo], *tables, work)
+    rates += _vflux(slab[a - lo : b - lo], lower, upper, work)
     if space is not None:
         project(rates, space, out=out[a:b])
+
+
+def _step_tables(work, grid, n, vflux_tables, dt):
+    """The x speed and the v-flux's (lower, upper), each (nv, n), built once per solve.
+
+    `vflux_tables()` builds the v-flux's pair.  With a `dt`, the tables come
+    times dt, also built once: an euler step's blocks then hold dt * rhs,
+    and need only u added.
+    """
+    tables = work.derived(
+        "step_tables",
+        lambda: (np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], n, 1),) + vflux_tables(),
+    )
+    if dt is None:
+        return tables
+    return work.derived("euler_step_tables", lambda: tuple(dt * table for table in tables))
 
 
 def _rhs(u, grid, stencil, tables, order, kind, work, space, dt):
     """The right-hand side in `work`'s "rhs" buffer, one block of x-rows at a time.
 
-    With a `dt`, each block is instead stepped, u + dt * rhs, while it is in
-    cache, into the state buffer of `work` that is not u.
+    With a `dt`, whose `tables` then carry it, each block's dt * rhs gets
+    u added while it is in cache: the Euler step, in the state buffer of
+    `work` that is not u.
     """
     out = work.buffer("rhs", u.shape) if dt is None else work.state_after(u)
     for a, b in _row_blocks(grid, u.shape[-1] if space is None else space.count):
         _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space)
         if dt is not None:
-            np.multiply(dt, out[a:b], out=out[a:b])
-            np.add(u[a:b], out[a:b], out=out[a:b])
+            out[a:b] += u[a:b]
     return out
 
 
@@ -415,14 +437,16 @@ def rhs_nodal(
     u holds samples at n nodes of z, and `force` the force at each of them,
     shape (n,).  Barrier events go to `work.counts`.  With a `dt`, the result
     is instead the Euler step u + dt * rhs, written block by block into the
-    state buffer of `work` that is not u; no "rhs" buffer is made.  The
-    v-flux's tables are built on the first call with `work`, which then
-    serves these force, alpha, order and vflux_variant only.
+    state buffer of `work` that is not u; no "rhs" buffer is made, and dt
+    is folded into the x speed and v-flux tables, so the step's last digits
+    may differ from u + dt * rhs_nodal(u).  The tables are built on the
+    first call with `work`, which then serves these force, alpha, order,
+    vflux_variant and dt only.
     """
     work = Workspace() if work is None else work
-    tables = work.derived(
-        "vflux_tables",
-        lambda: _vflux_tables(grid, force, alpha if order == 1 else None, vflux_variant),
+    tables = _step_tables(
+        work, grid, u.shape[-1],
+        lambda: _vflux_tables(grid, force, alpha if order == 1 else None, vflux_variant), dt,
     )
     return _rhs(u, grid, stencil, tables, order, kind, work, None, dt)
 
@@ -438,11 +462,12 @@ def advance(
 
     `rhs(u)` is the time derivative at u, and `rhs(u, dt)` the Euler step
     u + dt * rhs(u): an euler step is that one call, which `rhs_nodal` and
-    `galerkin_rhs` make block by block.  The rk2 step puts the new state
-    into the one of `work`'s two state buffers that is not u, so u is left
-    as it was.  Between its stages the "rhs" buffer, into which a rhs that
-    shares `work` writes, is swapped out, so the first stage's slope
-    survives the second.
+    `galerkin_rhs` make block by block with dt folded into their tables, so
+    it may differ from u + dt * rhs(u) in the last digits.  The rk2 step
+    puts the new state into the one of `work`'s two state buffers that is
+    not u, so u is left as it was.  Between its stages the "rhs" buffer,
+    into which a rhs that shares `work` writes, is swapped out, so the
+    first stage's slope survives the second.
     """
     if integrator == "euler":
         return rhs(u, dt)
@@ -615,11 +640,13 @@ def galerkin_rhs(
 
     The result is in `work`'s "rhs" buffer.  Each block of x-rows is
     evaluated at the nodes, stepped and projected in turn.  With a `dt`,
-    each block goes on to the Euler step, as in `rhs_nodal`.
+    each block goes on to the Euler step, with dt folded into the tables,
+    as in `rhs_nodal`.
     """
     work = Workspace() if work is None else work
-    tables = work.derived(
-        "vflux_tables", lambda: _vflux_tables(grid, barrier.force(space.rule.nodes))
+    tables = _step_tables(
+        work, grid, space.count,
+        lambda: _vflux_tables(grid, barrier.force(space.rule.nodes)), dt,
     )
     return _rhs(field, grid, stencil, tables, 2, kind, work, space, dt)
 

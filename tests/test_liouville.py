@@ -356,6 +356,11 @@ def same_bits(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+# an euler step with dt folded into its tables groups dt * rhs otherwise
+# than u + dt * rhs(u) does: a value may move by a few ulp of the largest
+EULER_ULPS = 2
+
+
 def vflux_fields(shape, seed):
     # nonzero everywhere, the boundary v-rows included, except a zero block
     # whose equal neighbours give zero differences of either sign
@@ -424,8 +429,8 @@ def test_contiguous_vflux_product_matches_the_strided_one_bitwise(form, shape, f
     rng, fields = vflux_fields(shape, 11)
     force = vflux_force(rng, shape[-1], force_kind)
     work = Workspace()
-    work.buffer("vflux_edges", shape).fill(np.nan)
-    work.buffer("vflux", shape).fill(np.nan)
+    work.buffer("scratch", shape).fill(np.nan)
+    work.buffer("scratch_result", shape).fill(np.nan)
     work.buffer("vflux_bottom_edges", (shape[0], shape[-1])).fill(np.nan)
     for u in fields:  # the second call sees the first call's buffers
         reference = strided_vflux_tables(u, *vflux_pair(form, force), DV)
@@ -441,8 +446,8 @@ def test_contiguous_vflux_second_matches_the_strided_one_bitwise(shape):
     force = rng.uniform(-0.2, 0.2, shape[-1])
     grid = SimpleNamespace(dt=dt, dv=dv, nv=shape[1])
     work = Workspace()
-    work.buffer("vflux_edges", shape).fill(np.nan)
-    work.buffer("vflux", shape).fill(np.nan)
+    work.buffer("scratch", shape).fill(np.nan)
+    work.buffer("scratch_result", shape).fill(np.nan)
     work.buffer("vflux_bottom_edges", (shape[0], shape[-1])).fill(np.nan)
     for u in fields:
         same_bits(
@@ -477,13 +482,18 @@ def test_vflux_of_a_state_constant_in_v_is_exactly_zero(form, shape):
     np.testing.assert_array_equal(kernel_vflux(form, u, force, Workspace()), 0.0)
 
 
-def whole_grid_x_transport(u, grid, stencil, order=1, kind="arctan", diagnostics=None, work=None):
+def whole_grid_x_transport(
+    u, grid, stencil, order=1, kind="arctan", diagnostics=None, work=None, dt=None
+):
     # reference: the x-transport term computed on whole-grid arrays, with the
-    # differences on half rows, in `work`'s "rhs" buffer
+    # differences on half rows, in `work`'s "rhs" buffer; with a dt, the
+    # x speed is scaled by it, as an euler step scales its table
     work = Workspace() if work is None else work
     speed = work.derived(
         "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], u.shape[-1], 1)
     )
+    if dt is not None:
+        speed = dt * speed
     half = grid.nv // 2
     il = grid.barrier_edge - 1
     ir = grid.barrier_edge
@@ -521,26 +531,37 @@ def whole_grid_x_transport(u, grid, stencil, order=1, kind="arctan", diagnostics
     return out
 
 
-def whole_grid_rhs_nodal(
+def whole_grid_rates(
     u, grid, stencil, force, alpha, order=1, kind="arctan", vflux_variant="product",
-    diagnostics=None, work=None,
+    diagnostics=None, work=None, dt=None,
 ):
-    # reference: the right-hand side computed on whole-grid arrays
+    # reference: the right-hand side computed on whole-grid arrays; with a
+    # dt, dt times it, from the x speed and v-flux tables times dt
     work = Workspace() if work is None else work
-    out = whole_grid_x_transport(u, grid, stencil, order, kind, diagnostics, work)
+    out = whole_grid_x_transport(u, grid, stencil, order, kind, diagnostics, work, dt)
     tables = liouville._vflux_tables(grid, force, alpha if order == 1 else None, vflux_variant)
+    if dt is not None:
+        tables = tuple(dt * table for table in tables)
     out += liouville._vflux(u, *tables, work)
     return out
 
 
-def whole_grid_galerkin_rhs(field, grid, barrier, stencil, kind, space, diagnostics=None):
-    # reference: evaluate, step and project the whole grid at once
+def whole_grid_rhs_nodal(u, *args, dt=None, **kwargs):
+    # reference: the right-hand side, or with a dt the Euler step u + dt * rhs
+    # with dt folded into the tables
+    rates = whole_grid_rates(u, *args, dt=dt, **kwargs)
+    return rates if dt is None else u + rates
+
+
+def whole_grid_galerkin_rhs(field, grid, barrier, stencil, kind, space, diagnostics=None, dt=None):
+    # reference: evaluate, step and project the whole grid at once; with a dt,
+    # the Euler step from the projection of the nodal rates times dt
     nodal = np.matmul(field, space.table)
-    rates = whole_grid_rhs_nodal(
+    rates = whole_grid_rates(
         nodal, grid, stencil, barrier.force(space.rule.nodes), 0.0, 2, kind,
-        diagnostics=diagnostics,
+        diagnostics=diagnostics, dt=dt,
     )
-    return project(rates, space)
+    return project(rates, space) if dt is None else field + project(rates, space)
 
 
 def stepping(rate):
@@ -560,14 +581,14 @@ def block_rhs_pair(kind, order, grid, stencil, space, ref_diag, work):
             lambda w, dt=None: liouville.galerkin_rhs(
                 w, grid, STEP, stencil, "tanh", space, work, dt
             ),
-            stepping(
-                lambda w: whole_grid_galerkin_rhs(w, grid, STEP, stencil, "tanh", space, ref_diag)
+            lambda w, dt=None: whole_grid_galerkin_rhs(
+                w, grid, STEP, stencil, "tanh", space, ref_diag, dt
             ),
         )
     args = (grid, stencil, STEP.force([-0.8, 0.1, 0.9]), 0.3, order, "tanh")
     return (
         lambda w, dt=None: rhs_nodal(w, *args, work=work, dt=dt),
-        stepping(lambda w: whole_grid_rhs_nodal(w, *args, diagnostics=ref_diag)),
+        lambda w, dt=None: whole_grid_rhs_nodal(w, *args, diagnostics=ref_diag, dt=dt),
     )
 
 
@@ -580,8 +601,10 @@ def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
     # stepping: 3 nodes at orders 1 and 2, or 3 chaos modes at order 2, the
     # one order that steps coefficients; a random field feeds every row of
     # the barrier gather, the truncated ones included.  An euler step, which
-    # the block rhs takes with a dt and writes block by block, also equals
-    # u + dt * rhs(u) of the block rhs on a fresh workspace
+    # the block rhs takes with a dt folded into its tables and writes block
+    # by block, equals the whole-grid step with the same tables, and the
+    # step of a fresh workspace, so no block data crosses steps; it stays
+    # within a few ulp of u + dt * rhs(u)
     grid = edge_grid(edge)
     stencil = BarrierStencil.build(grid, STEP)
     space = ChaosSpace.build(2)
@@ -601,13 +624,17 @@ def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
                     if integrator == "euler":
                         fresh = Workspace()
                         fresh_rhs, _ = block_rhs_pair(kind, order, grid, stencil, space, {}, fresh)
-                        unfused = field + grid.dt * fresh_rhs(field)
+                        fresh_step = fresh_rhs(field, grid.dt)
                         fresh_counts.update(fresh.counts)
+                        rate, _ = block_rhs_pair(kind, order, grid, stencil, space, {}, Workspace())
+                        unfused = field + grid.dt * rate(field)
                     field = advance(field, grid.dt, rhs, integrator, work)
                     ref = advance(ref, grid.dt, reference, integrator)
                     same_bits(field, ref)
                     if integrator == "euler":
-                        same_bits(field, unfused)
+                        same_bits(field, fresh_step)
+                        ulp = np.spacing(np.abs(unfused).max())
+                        np.testing.assert_allclose(field, unfused, rtol=0.0, atol=EULER_ULPS * ulp)
                 assert work.counts["truncation_events"] == ref_diag["truncation_events"] > 0
                 if integrator == "euler":
                     assert fresh_counts["truncation_events"] == ref_diag["truncation_events"]
@@ -818,6 +845,37 @@ def test_an_euler_step_holds_two_states_and_no_full_size_rhs(monkeypatch, order,
         assert full == ["next_state", "state"]
     else:
         assert full == ["first_slope", "next_state", "rhs", "state"]
+
+
+@pytest.mark.parametrize("order, slabs", [(1, 2), (2, 4)], ids=["gpc_order1", "gpc_order2"])
+def test_an_euler_step_holds_a_few_slabs_besides_its_states(monkeypatch, order, slabs):
+    # besides the state pair, an euler step holds the scratch pair that the
+    # layers of a block take in turn, and at order 2 the block's slab at the
+    # nodes and its nodal rates; the limiter's interface differences, the
+    # barrier edge states and the v-flux's bottom edges are small.  All of
+    # them together fit in that many slabs of the block's rows and halo
+    grid = unit_grid()
+    workspaces = []
+
+    class Recorded(Workspace):
+        def __init__(self):
+            super().__init__()
+            workspaces.append(self)
+
+    monkeypatch.setattr(liouville, "Workspace", Recorded)
+    run = liouville_solve_gpc(grid, STEP, 10, 3 * grid.dt, order)
+    assert run.diagnostics["steps"] == 3
+    [work] = workspaces
+    n = 11 if order == 1 else ChaosSpace.build(10).count
+    height = next(liouville._row_blocks(grid, n))[1]
+    assert height < grid.nx // 2
+    slab_bytes = (height + 2 * order) * grid.nv * n * 8
+    held = [
+        buf for name, buf in work._buffers.items()
+        if buf is not None and name not in ("state", "next_state")
+    ]
+    assert sum(buf.ndim == 3 and len(buf) > 2 for buf in held) <= slabs
+    assert sum(buf.nbytes for buf in held) <= slabs * slab_bytes
 
 
 # --- coefficient-space right-hand side ---
