@@ -393,8 +393,8 @@ def _step_tables(work, grid, n, vflux_tables, dt):
     """The x speed and the v-flux's (lower, upper), each (nv, n), built once per solve.
 
     `vflux_tables()` builds the v-flux's pair.  With a `dt`, the tables come
-    times dt, also built once: an euler step's blocks then hold dt * rhs,
-    and need only u added.
+    times dt, built once for each dt: an euler step's blocks then hold
+    dt * rhs, and need only u added.
     """
     tables = work.derived(
         "step_tables",
@@ -402,7 +402,7 @@ def _step_tables(work, grid, n, vflux_tables, dt):
     )
     if dt is None:
         return tables
-    return work.derived("euler_step_tables", lambda: tuple(dt * table for table in tables))
+    return work.derived(("euler_step_tables", dt), lambda: tuple(dt * table for table in tables))
 
 
 def _rhs(u, grid, stencil, tables, order, kind, work, space, dt):
@@ -440,8 +440,8 @@ def rhs_nodal(
     state buffer of `work` that is not u; no "rhs" buffer is made, and dt
     is folded into the x speed and v-flux tables, so the step's last digits
     may differ from u + dt * rhs_nodal(u).  The tables are built on the
-    first call with `work`, which then serves these force, alpha, order,
-    vflux_variant and dt only.
+    first call with `work`, which then serves these force, alpha, order and
+    vflux_variant only.
     """
     work = Workspace() if work is None else work
     tables = _step_tables(

@@ -9,7 +9,7 @@ arrays.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class Workspace:
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray | None] = {}
-        self._derived: dict[str, object] = {}
+        self._derived: dict[Hashable, object] = {}
         self.counts: Counter = Counter()
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -66,7 +66,7 @@ class Workspace:
         second = self.buffer("next_state", state.shape)
         return second if first is state else first
 
-    def derived(self, name: str, build: Callable[[], object]):
+    def derived(self, name: Hashable, build: Callable[[], object]):
         """`build()`, computed on the first request under `name` and kept."""
         if name not in self._derived:
             self._derived[name] = build()

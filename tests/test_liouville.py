@@ -640,6 +640,24 @@ def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
                     assert fresh_counts["truncation_events"] == ref_diag["truncation_events"]
 
 
+@pytest.mark.parametrize("kind, order", [("nodal", 1), ("nodal", 2), ("gpc", 2)])
+def test_an_euler_step_uses_the_dt_it_is_given(kind, order):
+    # a workspace that already served one dt gives the euler step of another
+    # dt bit for bit as a fresh workspace does, and the unscaled rhs between
+    grid = edge_grid(5)
+    stencil = BarrierStencil.build(grid, STEP)
+    space = ChaosSpace.build(2)
+    field = np.random.default_rng(3).uniform(0.0, 1.0, (grid.nx, grid.nv, 3))
+    rhs, _ = block_rhs_pair(kind, order, grid, stencil, space, {}, Workspace())
+    rhs(field, grid.dt)
+    rate = rhs(field).copy()
+    step = rhs(field, 0.5 * grid.dt).copy()
+    fresh_rhs, _ = block_rhs_pair(kind, order, grid, stencil, space, {}, Workspace())
+    same_bits(step, fresh_rhs(field, 0.5 * grid.dt))
+    fresh_rhs, _ = block_rhs_pair(kind, order, grid, stencil, space, {}, Workspace())
+    same_bits(rate, fresh_rhs(field))
+
+
 def test_rigid_step_stencil_reflects_one_way():
     # jump too high for any grid row to climb: rows arriving rightward all
     # reflect, while leftward arrivals trace back to off-grid speeds

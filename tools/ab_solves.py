@@ -2,18 +2,18 @@
 
 Usage (from the repository root):
 
-    python3 tools/ab_solves.py OLD NEW [--preset NAME] [--rounds N] [--t-final T]
+    python3 tools/ab_solves.py OLD NEW [--preset NAME] [--rounds N]
 
 OLD and NEW are checkouts, or `git archive` extractions, of this
 repository.  Each one's `src/stochhyp` is copied into a temporary directory
 under a package name of its own, `ab_old` and `ab_new`; the package imports
 itself only by relative imports, so both copies load side by side.  After
 one untimed solve each, every round solves the preset (default
-`example2_order1`, at its own t_final unless `--t-final` is given) once
-with each side, and the side that goes first alternates from round to
-round.  The output is each side's median solve time, the median over the
-rounds of new/old, the rounds in which new was faster, and the largest
-difference between the two sides' fields over old's largest value.
+`example2_order1`; it must be a `gpc_sg` one) once with each side, and the
+side that goes first alternates from round to round.  The output is each
+side's median solve time, the median over the rounds of new/old, the
+rounds in which new was faster, and the largest difference between the
+two sides' fields over old's largest value.
 
 Both sides run in one process, on one allocator, with the host in the same
 state during a round, so a change of the host's speed, which moves separate
@@ -47,15 +47,13 @@ def load(checkout: Path, name: str, into: Path):
     return importlib.import_module(name)
 
 
-def solver(pkg, preset: str, t_final: float | None):
-    """A call that runs the preset's solve in `pkg` and returns its field."""
-    text = "preset = %s\n" % preset + ("" if t_final is None else "t_final = %r\n" % t_final)
-    config = pkg.config.parse_config(text)
+def solver(pkg, preset: str):
+    """A call that runs the preset's stochastic Galerkin solve in `pkg` and returns its field."""
+    config = pkg.config.parse_config("preset = %s\n" % preset)
+    if config.mode != "gpc_sg":
+        raise SystemExit("preset %s is not a gpc_sg one" % preset)
     problem = pkg.cli._problem(config)
-    if config.mode == "gpc_sg":
-        return lambda: problem.chaos(config.k, config.m)[0]
-    nodes = pkg.gpc.gauss_rule(config.m).nodes if config.mode == "collocation" else [config.z]
-    return lambda: problem.nodal(np.asarray(nodes, dtype=float))[0]
+    return lambda: problem.chaos(config.k, config.m)[0]
 
 
 def main(argv=None) -> int:
@@ -64,7 +62,6 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="checkout compared with it")
     parser.add_argument("--preset", default="example2_order1")
     parser.add_argument("--rounds", type=int, default=12)
-    parser.add_argument("--t-final", type=float, default=None)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -73,7 +70,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         try:
             solves = {
-                side: solver(load(checkout, "ab_" + side, Path(tmp)), args.preset, args.t_final)
+                side: solver(load(checkout, "ab_" + side, Path(tmp)), args.preset)
                 for side, checkout in zip(SIDES, (args.old, args.new))
             }
         finally:
