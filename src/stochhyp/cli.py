@@ -7,7 +7,8 @@ Subcommands:
   presets            list built-in experiment presets (--show NAME prints one)
 
 Exit codes: 0 success, 2 configuration error, 3 divergence (non-finite field).
-CSV numbers carry 17 significant digits so serial reruns are byte-identical.
+CSV numbers carry 17 significant digits ("%.17g", which `csvformat` writes a
+chunk of rows at a time) so serial reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .config import (
     render_config,
 )
 from .convection import convection_errors, convection_solve_nodal, run_convection
+from .csvformat import format_rows
 from .errors import ConfigurationError, DivergenceError
 from .gpc import QuadratureRule, gauss_rule
 from .liouville import liouville_solve_gpc, liouville_solve_nodal
@@ -47,9 +49,11 @@ _DIAGNOSTICS = (
 )
 
 
-# rows of a float table that _write_csv turns into Python floats at once;
-# larger chunks write no faster and leave more memory with the interpreter
-_CSV_CHUNK_ROWS = 256
+# values that one format_rows call turns into text, in whole rows: its arrays
+# then take about 0.6 MB, below the tables written; smaller chunks spend more
+# per value on numpy's per-call overhead (256-row chunks write a 71824x3 table
+# 1.8 times slower)
+_CSV_CHUNK_VALUES = 4096
 
 
 def _fmt(value) -> str:
@@ -60,18 +64,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    rows = np.asarray(rows, dtype=float)
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        # the bytes _fmt gives, an integral k included ("%.17g" % 2.0 is "2"),
-        # one format per row; tolist() runs on bounded chunks, so the table
-        # never exists as Python floats at once
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start : start + _CSV_CHUNK_ROWS].tolist()
-            handle.writelines(line % tuple(row) for row in chunk)
+def _write_columns(path: Path, header: list[str], columns) -> None:
+    """One CSV of float columns (1-D, or 2-D blocks of columns) side by side, in row chunks."""
+    rows = max(1, _CSV_CHUNK_VALUES // len(header))
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), rows):
+            handle.write(format_rows(np.column_stack([c[start : start + rows] for c in columns])))
     print("wrote %s" % path)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    # the bytes _fmt gives, an integral k included ("%.17g" % 2.0 is "2")
+    _write_columns(path, header, [np.asarray(rows, dtype=float)])
 
 
 def _write_summary(path: Path, entries: dict) -> None:
@@ -87,15 +92,11 @@ def _write_fields(out: Path, lead: dict, moments: MomentField, value_header, val
     """moments.csv and coeffs.csv: one row per cell, led by the `lead` coordinates."""
     lead_cols = list(lead.values())
     moment_cols = [moments.expectation.reshape(-1), moments.variance.reshape(-1)]
-    _write_csv(
-        out / "moments.csv",
-        list(lead) + ["expectation", "variance"],
-        np.column_stack(lead_cols + moment_cols),
+    _write_columns(
+        out / "moments.csv", list(lead) + ["expectation", "variance"], lead_cols + moment_cols
     )
     values = values.reshape(lead_cols[0].size, -1)
-    _write_csv(
-        out / "coeffs.csv", list(lead) + value_header, np.column_stack(lead_cols + [values])
-    )
+    _write_columns(out / "coeffs.csv", list(lead) + value_header, lead_cols + [values])
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
