@@ -209,18 +209,28 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_k_list(text: str) -> list[int]:
-    values: list[int] = []
+def _parse_list(text: str, flag: str, example: str, parse) -> list:
+    """The values of a comma-separated sweep flag; `parse(token)` gives a token's list."""
+    values: list = []
     for token in text.split(","):
         token = token.strip()
-        if ".." in token:
-            lo, _, hi = token.partition("..")
-            values.extend(range(int(lo), int(hi) + 1))
-        elif token:
-            values.append(int(token))
+        if token:
+            try:
+                values.extend(parse(token))
+            except ValueError:
+                raise ConfigurationError(
+                    ["%s: cannot read %r; expected values like %s" % (flag, token, example)]
+                ) from None
     if not values:
-        raise ConfigurationError(["--k expects values like 2..20 or 2,4,8"])
+        raise ConfigurationError(["%s expects values like %s" % (flag, example)])
     return values
+
+
+def _k_token(token: str) -> list[int]:
+    if ".." in token:
+        lo, _, hi = token.partition("..")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(token)]
 
 
 def _require_monotone(values, flag: str) -> None:
@@ -243,7 +253,7 @@ def _cmd_sweep(args) -> int:
     if args.k is not None:
         if args.ref is None:
             raise ConfigurationError(["--k requires --ref for the reference order"])
-        k_list = _parse_k_list(args.k)
+        k_list = _parse_list(args.k, "--k", "2..20 or 2,4,8", _k_token)
         _require_monotone(k_list, "--k")
         rows = gpc_error_sweep(
             lambda k: problem.chaos(k)[0], k_list, args.ref, problem.cell, threads=config.threads
@@ -251,7 +261,7 @@ def _cmd_sweep(args) -> int:
     else:
         if problem.errors is None:
             raise ConfigurationError(["mesh sweeps need the analytic solution (convection)"])
-        dx_list = [float(tok) for tok in args.dx.split(",") if tok.strip()]
+        dx_list = _parse_list(args.dx, "--dx", "0.02,0.01", lambda token: [float(token)])
         _require_monotone(dx_list, "--dx")
 
         def errors_at(dx: float, dt: float) -> dict:

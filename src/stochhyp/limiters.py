@@ -106,22 +106,32 @@ def limited_slopes(
     the slopes are written, in its "scratch_result"; and the two
     differences that the interface cells read.
     """
-    forward, inverse = limiter_maps(kind)
     work = Workspace() if work is None else work
-    # d[j] is the difference across the right edge of cell j; interior cell
-    # j averages d[j - 1] and d[j], and the end cells are flat
+    # d[j] is the difference across the right edge of cell j
     d = work.buffer("scratch", (u.shape[0] - 1,) + u.shape[1:])
     np.subtract(u[1:], u[:-1], out=d)
     d /= dx
+    return _limited_slopes(d, interface_index, kind, work)
+
+
+def _limited_slopes(d: np.ndarray, interface_index: int, kind: str, work: Workspace) -> np.ndarray:
+    """`limited_slopes` from the differences over dx, d[j] across the right edge of cell j.
+
+    d, in `work`'s "scratch", is overwritten; the slopes of the len(d) + 1
+    cells come in its "scratch_result".
+    """
+    forward, inverse = limiter_maps(kind)
+    # interior cell j averages d[j - 1] and d[j], and the end cells are flat
+    cells = len(d) + 1
     # the interface cells, when inside the slab, keep the differences on their side
     i = interface_index
-    left, right = 1 <= i < len(u) - 1, 1 <= i + 1 < len(u) - 1
-    saved = work.buffer("limiter_interface", (2,) + u.shape[1:])
+    left, right = 1 <= i < cells - 1, 1 <= i + 1 < cells - 1
+    saved = work.buffer("limiter_interface", (2,) + d.shape[1:])
     if left:
         saved[0] = d[i - 1]
     if right:
         saved[1] = d[i + 1]
-    slopes = work.buffer("scratch_result", u.shape)
+    slopes = work.buffer("scratch_result", (cells,) + d.shape[1:])
     mapped = forward(d, slopes[:-1])
     # the differences are spent: their mapped means take their place, and
     # the slopes then take the place of the mapped differences

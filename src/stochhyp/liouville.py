@@ -5,8 +5,10 @@ V(x, z) = V0(x) + slope*x*z jumps at x = 0.  The x-flux at the barrier routes
 density between velocity rows so kinetic plus potential energy is conserved
 (transmission) or the velocity is reversed (reflection); v-fluxes are central
 and characteristic-independent.  Order 1 is linear in u and in z, so gPC-SG
-marches samples at the k + 1 Gauss nodes and projects them once; order 2
-steps the coefficients, evaluating them at quadrature nodes and projecting.
+marches samples at the k + 1 Gauss nodes and projects them once.  Order 2
+steps the coefficients: every layer but the limiter is linear, with
+coefficients that are constant or polynomial in z, so it acts on the k + 1
+coefficients directly, and only the limiter runs at the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, reject
-from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, project
-from .limiters import kind_problems, limited_slopes
+from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, galerkin_matrix, project
+from .limiters import _limited_slopes, kind_problems, limited_slopes
 from .march import march, time_steps
 from .workspace import Workspace
 
@@ -224,9 +226,12 @@ class BarrierStencil:
 # flux above with a = f^2*dt/dv, so Lax-Wendroff is Lax-Friedrichs with that
 # per-node viscosity, and with euler stepping it gives the classical
 # second-order update.  Divided by -dv, edge j+1/2 is lower*u_j +
-# upper*u_{j+1}, with the (nv, n) tables lower = (a/2 - f/2)/(-dv) and
-# upper = (-f/2 - a/2)/(-dv), built once per solve so that each
-# multiplication runs over whole x-rows.
+# upper*u_{j+1}, with lower = (a/2 - f/2)/(-dv) and upper = (-f/2 - a/2)/(-dv).
+# On samples these are (nv, n) tables, built once per solve so that each
+# multiplication runs over whole x-rows.  At order-2 SG, f and a are
+# polynomials in z and the edge is linear in u, so the projection of the
+# edge of the evaluated coefficients is the coefficients times the
+# (k + 1, k + 1) Galerkin matrices of lower and upper.
 #
 # The kernel views each (nx, nv, n) array as nx*nv contiguous rows of n
 # values, cell (i, j) in row i*nv + j, so every v-edge sum or difference is
@@ -239,8 +244,8 @@ class BarrierStencil:
 # products, one shifted add and one shifted difference.
 
 
-def _vflux_tables(grid, force, alpha=None, vflux_variant="product"):
-    """The tables (lower, upper) of the v-flux, each of shape (nv, n).
+def _vflux_coefficients(grid, force, alpha=None, vflux_variant="product"):
+    """The v-flux's (lower, upper) at each node of `force`.
 
     With an LF viscosity `alpha` the pair (f, a) is (force, alpha), or
     (-force, alpha) for the ratio form; without one it is order 2's (force,
@@ -250,23 +255,49 @@ def _vflux_tables(grid, force, alpha=None, vflux_variant="product"):
         f, a = force, force * force * grid.dt / grid.dv
     else:
         f, a = (force if vflux_variant == "product" else -force), alpha
+    return tuple(c / -grid.dv for c in (0.5 * a - 0.5 * f, -0.5 * f - 0.5 * a))
+
+
+def _vflux_tables(grid, force, alpha=None, vflux_variant="product"):
+    """The tables (lower, upper) of the v-flux, each of shape (nv, n)."""
     return tuple(
-        np.tile(c / -grid.dv, (grid.nv, 1)) for c in (0.5 * a - 0.5 * f, -0.5 * f - 0.5 * a)
+        np.tile(c, (grid.nv, 1))
+        for c in _vflux_coefficients(grid, force, alpha, vflux_variant)
     )
 
 
-def _vflux(u: np.ndarray, lower: np.ndarray, upper: np.ndarray, work: Workspace) -> np.ndarray:
-    # the flux difference of the edges lower*u_j + upper*u_{j+1}, in `work`'s
-    # "scratch_result", with the edges in its "scratch".  The zero-gradient
-    # ghosts repeat the boundary state in both products, so a state constant
-    # in v gives exact zeros.
+def _vflux_matrices(grid, barrier, space):
+    """Order 2's (lower, upper) as Galerkin matrices of `space`, each (k + 1, k + 1)."""
+    return tuple(
+        galerkin_matrix(
+            lambda z, side=side: _vflux_coefficients(grid, barrier.force(z))[side], space
+        )
+        for side in (0, 1)
+    )
+
+
+# The scratch pair of a block (see `Workspace`): at the nodes, which the
+# order-2 SG step uses for its limiter only, and on its coefficients.
+_NODES_PAIR = ("scratch", "scratch_result")
+_COEFFS_PAIR = ("coef_scratch", "coef_scratch_result")
+
+
+def _vflux(
+    u: np.ndarray, lower: np.ndarray, upper: np.ndarray, work: Workspace,
+    product=np.multiply, pair=_NODES_PAIR,
+) -> np.ndarray:
+    # the flux difference of the edges lower*u_j + upper*u_{j+1}, in the
+    # second buffer of `work`'s scratch `pair`, with the edges in the first.
+    # `product` is np.multiply for the (nv, n) tables and np.matmul for the
+    # Galerkin matrices.  The zero-gradient ghosts repeat the boundary state
+    # in both products, so a state constant in v gives exact zeros.
     n = u.shape[-1]
-    edges = work.buffer("scratch", u.shape)
-    out = work.buffer("scratch_result", u.shape)
+    edges = work.buffer(pair[0], u.shape)
+    out = work.buffer(pair[1], u.shape)
     bottom = work.buffer("vflux_bottom_edges", (len(u), n))
     ef, of = (a.reshape(-1, n) for a in (edges, out))
-    np.multiply(u, lower, out=edges)
-    np.multiply(u, upper, out=out)
+    product(u, lower, out=edges)
+    product(u, upper, out=out)
     np.add(edges[:, 0], out[:, 0], out=bottom)
     edges[:, -1] += out[:, -1]
     out[:, 0] = 0.0  # so that the shifted add leaves the top boundary slots as they are
@@ -311,30 +342,56 @@ def _row_blocks(grid: PhaseSpaceGrid, n: int):
 # differences and then `diffs` are in "scratch", the limiter's slopes and
 # then the order-2 `upwind` in "scratch_result"; once the halves of `diffs`
 # are copied into the rates, the v-flux takes both, its edges in "scratch"
-# and its result in "scratch_result".  At order 2 gPC the block adds its
-# slab at the nodes and its nodal rates.
+# and its result in "scratch_result".
+#
+# At order-2 SG the slab holds coefficients, and every layer but the
+# limiter acts on them: the x speed, the edge-offset sign and the barrier's
+# weights do not depend on z, and the v-flux takes the Galerkin matrices.
+# The limiter alone runs at the nodes, in the nodal pair; the other layers
+# take the coefficient pair in the same turns.  The coefficient differences
+# go to "coef_scratch", then their values at the nodes over dx to the
+# limiter's "scratch", and the projection of the slopes the block reads,
+# slab rows 1 to -2, to "coef_scratch_result".
+
+
+def _sg_slopes(slab, grid, interface_index, kind, work, space):
+    """The projected limited slopes of a coefficient slab, in `work`'s "coef_scratch_result"."""
+    coeff_diffs = np.subtract(
+        slab[1:], slab[:-1], out=work.buffer(_COEFFS_PAIR[0], (len(slab) - 1,) + slab.shape[1:])
+    )
+    d = np.matmul(
+        coeff_diffs, work.derived("table_over_dx", lambda: space.table / grid.dx),
+        out=work.buffer("scratch", coeff_diffs.shape[:-1] + (space.count,)),
+    )
+    nodal_slopes = _limited_slopes(d, interface_index, kind, work)
+    slopes = work.buffer(_COEFFS_PAIR[1], slab.shape)
+    slopes[0] = 0.0
+    slopes[-1] = 0.0
+    project(nodal_slopes[1:-1], space, out=slopes[1:-1])
+    return slopes
 
 
 def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=None) -> None:
-    """Fill rows [a, b) of `out`; with a chaos `space`, u holds coefficients to project.
+    """Fill rows [a, b) of `out`; with a chaos `space`, u holds order-2 coefficients.
 
-    `tables` are the x speed and the v-flux's (lower, upper), from `_step_tables`.
+    `tables` are the x speed and the v-flux's (lower, upper), from
+    `_step_tables`: (nv, n) tables, or with a `space` Galerkin matrices.
     """
     nx, half = grid.nx, grid.nv // 2
     il, ir = grid.barrier_edge - 1, grid.barrier_edge
     lo, hi = max(a - order, 0), min(b + order, nx)
     slab = u[lo:hi]
-    if space is not None:
-        slab = np.matmul(
-            slab, space.table, out=work.buffer("nodal_values", slab.shape[:-1] + (space.count,))
-        )
     n = slab.shape[-1]
     speed, lower, upper = tables
+    pair = _NODES_PAIR if space is None else _COEFFS_PAIR
 
     if order == 1:
         upwind = slab
     else:
-        offsets = limited_slopes(slab, grid.dx, il - lo, kind, work)
+        if space is None:
+            offsets = limited_slopes(slab, grid.dx, il - lo, kind, work)
+        else:
+            offsets = _sg_slopes(slab, grid, il - lo, kind, work, space)
         # -dx/2 on rows moving right, so that u - offsets is each row's upwind
         # state; x - (-y) is x + y to the bit
         offsets *= work.derived(
@@ -350,7 +407,7 @@ def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=Non
             )
         upwind = np.subtract(slab, offsets, out=offsets)
 
-    diffs = work.buffer("scratch", (b - a + 1,) + slab.shape[1:])
+    diffs = work.buffer(pair[0], (b - a + 1,) + slab.shape[1:])
     first, last = max(a, 1), min(b + 1, nx)  # rows whose left edge is interior
     np.subtract(
         upwind[first - lo : last - lo], upwind[first - 1 - lo : last - 1 - lo],
@@ -381,20 +438,19 @@ def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=Non
         work.counts["truncation_events"] += events
 
     diffs *= speed
-    rates = out[a:b] if space is None else work.buffer("nodal_rates", (b - a,) + slab.shape[1:])
+    rates = out[a:b]
     rates[:, half:] = diffs[:-1, half:]
     rates[:, :half] = diffs[1:, :half]
-    rates += _vflux(slab[a - lo : b - lo], lower, upper, work)
-    if space is not None:
-        project(rates, space, out=out[a:b])
+    product = np.multiply if space is None else np.matmul
+    rates += _vflux(slab[a - lo : b - lo], lower, upper, work, product, pair)
 
 
 def _step_tables(work, grid, n, vflux_tables, dt):
-    """The x speed and the v-flux's (lower, upper), each (nv, n), built once per solve.
+    """The x speed, (nv, n), and the v-flux's (lower, upper), built once per solve.
 
-    `vflux_tables()` builds the v-flux's pair.  With a `dt`, the tables come
-    times dt, built once for each dt: an euler step's blocks then hold
-    dt * rhs, and need only u added.
+    `vflux_tables()` builds the v-flux's pair: (nv, n) tables, or Galerkin
+    matrices.  With a `dt`, the tables come times dt, built once for each
+    dt: an euler step's blocks then hold dt * rhs, and need only u added.
     """
     tables = work.derived(
         "step_tables",
@@ -636,17 +692,19 @@ def galerkin_rhs(
     work: Workspace | None = None,
     dt: float | None = None,
 ) -> np.ndarray:
-    """Order-2 time derivative of the coefficient field: evaluate, step, project.
+    """Order-2 time derivative of the coefficient field, the SG form of `rhs_nodal`'s.
 
-    The result is in `work`'s "rhs" buffer.  Each block of x-rows is
-    evaluated at the nodes, stepped and projected in turn.  With a `dt`,
-    each block goes on to the Euler step, with dt folded into the tables,
-    as in `rhs_nodal`.
+    The result is in `work`'s "rhs" buffer, one block of x-rows at a time.
+    Only the limiter runs at the space's nodes: it takes the coefficient
+    differences evaluated there, and its slopes are projected.  The
+    x-transport acts on the coefficients, and the v-flux takes the Galerkin
+    matrices of its edge coefficients, which are quadratic in z.  With a
+    `dt`, each block goes on to the Euler step, with dt folded into the x
+    speed and the matrices, as in `rhs_nodal`.
     """
     work = Workspace() if work is None else work
     tables = _step_tables(
-        work, grid, space.count,
-        lambda: _vflux_tables(grid, barrier.force(space.rule.nodes)), dt,
+        work, grid, field.shape[-1], lambda: _vflux_matrices(grid, barrier, space), dt
     )
     return _rhs(field, grid, stencil, tables, 2, kind, work, space, dt)
 

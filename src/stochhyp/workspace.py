@@ -25,14 +25,16 @@ class Workspace:
     view of its first rows, so the blocks of rows that a step walks through,
     a short last block included, share one array; a request for more rows
     or another trailing shape makes a new one.  Functions that share a
-    workspace use names of their own, except the scratch pair, "scratch"
-    and "scratch_result", which the layers of one block of a Liouville step
-    take in turn, so that the block holds fewer arrays and they stay in
-    cache.  Each holds whatever its last user left.  A function keeps data
-    in the pair only while it runs, except what it returns in
-    "scratch_result", which lives until its caller next calls a function
-    that takes the pair.  An array a function returns from its workspace is
-    overwritten by that function's next call.
+    workspace use names of their own, except the scratch pairs, which the
+    layers of one block of a Liouville step take in turn, so that the block
+    holds fewer arrays and they stay in cache: "scratch" and
+    "scratch_result" at the nodes, and at order-2 SG "coef_scratch" and
+    "coef_scratch_result" on the coefficients.  Each holds whatever its
+    last user left.  A function keeps data in a pair only while it runs,
+    except what it returns in the pair's second buffer, which lives until
+    its caller next calls a function that takes the pair.  An array a
+    function returns from its workspace is overwritten by that function's
+    next call.
 
     A workspace serves one solve, whose grid, barrier and chaos space stay
     fixed: `derived` computes each invariant once and keeps it.  `counts` is

@@ -245,6 +245,14 @@ def test_sweep_flag_validation(tmp_path, capsys):
     assert main(["sweep", cfg, "--k", ",", "--ref", "4"]) == 2
     assert "--k expects values like 2..20 or 2,4,8" in capsys.readouterr().err
     assert not out.exists()
+    # a malformed token is a config error that names it, not a traceback
+    assert main(["sweep", cfg, "--k", "2..x", "--ref", "4"]) == 2
+    assert "--k: cannot read '2..x'" in capsys.readouterr().err
+    assert main(["sweep", cfg, "--dx", "0.02,abc"]) == 2
+    assert "--dx: cannot read 'abc'" in capsys.readouterr().err
+    assert main(["sweep", cfg, "--dx", ","]) == 2
+    assert "--dx expects values like 0.02,0.01" in capsys.readouterr().err
+    assert not out.exists()
     # Liouville has no analytic solution to score a mesh against
     liou_text = LIOU_SMALL.replace("mode = deterministic", "mode = gpc_sg") + "\n[random]\nk = 2\n"
     liou = write_config(tmp_path, liou_text, name="liou.cfg")

@@ -16,13 +16,13 @@ from stochhyp import (
     liouville_solve_gpc,
     liouville_solve_nodal,
 )
-from stochhyp import liouville
+from stochhyp import limiters, liouville
 from stochhyp.config import PRESETS
 from stochhyp.liouville import PHASE_PROFILES, advance, rhs_nodal, scheme_problems
 from stochhyp.workspace import Workspace
 from stochhyp import ChaosSpace, galerkin_matrix, gauss_rule, project
 from stochhyp.gpc import deterministic_coeffs
-from stochhyp.limiters import limited_slopes
+from stochhyp.limiters import BAP_KINDS, limited_slopes
 
 STEP = PotentialBarrier(0.2, 0.0, 0.1)
 
@@ -483,11 +483,12 @@ def test_vflux_of_a_state_constant_in_v_is_exactly_zero(form, shape):
 
 
 def whole_grid_x_transport(
-    u, grid, stencil, order=1, kind="arctan", diagnostics=None, work=None, dt=None
+    u, grid, stencil, order=1, kind="arctan", diagnostics=None, work=None, dt=None, slopes=None
 ):
     # reference: the x-transport term computed on whole-grid arrays, with the
     # differences on half rows, in `work`'s "rhs" buffer; with a dt, the
-    # x speed is scaled by it, as an euler step scales its table
+    # x speed is scaled by it, as an euler step scales its table.  Order 2
+    # limits the slopes of u unless it is given them, which it overwrites
     work = Workspace() if work is None else work
     speed = work.derived(
         "x_speed", lambda: np.repeat((-1.0 / grid.dx) * grid.v_centers[:, None], u.shape[-1], 1)
@@ -501,7 +502,7 @@ def whole_grid_x_transport(
     if order == 1:
         right_edge = left_edge = u
     else:
-        offsets = limited_slopes(u, grid.dx, il, kind, work)
+        offsets = limited_slopes(u, grid.dx, il, kind, work) if slopes is None else slopes
         offsets *= grid.dx / 2.0
         right_edge = np.add(u, offsets, out=work.buffer("right_edge", u.shape))
         left_edge = np.subtract(u, offsets, out=work.buffer("left_edge", u.shape))
@@ -554,14 +555,23 @@ def whole_grid_rhs_nodal(u, *args, dt=None, **kwargs):
 
 
 def whole_grid_galerkin_rhs(field, grid, barrier, stencil, kind, space, diagnostics=None, dt=None):
-    # reference: evaluate, step and project the whole grid at once; with a dt,
-    # the Euler step from the projection of the nodal rates times dt
-    nodal = np.matmul(field, space.table)
-    rates = whole_grid_rates(
-        nodal, grid, stencil, barrier.force(space.rule.nodes), 0.0, 2, kind,
-        diagnostics=diagnostics, dt=dt,
-    )
-    return project(rates, space) if dt is None else field + project(rates, space)
+    # reference: the order-2 SG arithmetic on the whole grid at once.  The
+    # coefficient differences are evaluated at the nodes over dx and
+    # limited there; the slopes of every row but the flat end rows are
+    # projected; the x-transport and the v-flux's Galerkin matrices act on
+    # the coefficients.  With a dt, the Euler step, with dt in the x speed
+    # and the matrices
+    work = Workspace()
+    nodal_diffs = np.matmul(np.diff(field, axis=0), space.table / grid.dx)
+    nodal_slopes = limiters._limited_slopes(nodal_diffs, grid.barrier_edge - 1, kind, work)
+    slopes = np.zeros(field.shape)
+    slopes[1:-1] = project(nodal_slopes[1:-1], space)
+    rates = whole_grid_x_transport(field, grid, stencil, 2, kind, diagnostics, work, dt, slopes)
+    matrices = liouville._vflux_matrices(grid, barrier, space)
+    if dt is not None:
+        matrices = tuple(dt * matrix for matrix in matrices)
+    rates += liouville._vflux(field, *matrices, work, np.matmul)
+    return rates if dt is None else field + rates
 
 
 def stepping(rate):
@@ -656,6 +666,37 @@ def test_an_euler_step_uses_the_dt_it_is_given(kind, order):
     same_bits(step, fresh_rhs(field, 0.5 * grid.dt))
     fresh_rhs, _ = block_rhs_pair(kind, order, grid, stencil, space, {}, Workspace())
     same_bits(rate, fresh_rhs(field))
+
+
+@pytest.mark.parametrize("kind", BAP_KINDS)
+@pytest.mark.parametrize("k, m", [(2, 6), (4, 5), (10, 22)], ids=["2k+2", "k+1", "preset"])
+@pytest.mark.parametrize(
+    "barrier",
+    [STEP, PotentialBarrier(5.0, 0.0, 0.1), PotentialBarrier(0.0, 0.2, 0.1)],
+    ids=["step", "rigid", "reversed"],
+)
+def test_order2_galerkin_rhs_is_the_projection_of_the_nodal_rhs(barrier, k, m, kind):
+    # the SG step runs its linear layers on the coefficients and only the
+    # limiter at the nodes; that is the projection of the nodal step of the
+    # evaluated field, up to roundoff, with the same barrier events.  The
+    # euler form, with dt in the x speed and the Galerkin matrices, is the
+    # projection of the nodal euler step.  The cells are wider in v than
+    # in x, so that a step that confuses dx and dv shows
+    space = ChaosSpace.build(k, m)
+    force = barrier.force(space.rule.nodes)
+    for edge in (1, 5, 6, 11):
+        grid = PhaseSpaceGrid(-0.25 * edge, 0.25 * (12 - edge), 1.5, 12, 8, 0.01)
+        stencil = BarrierStencil.build(grid, barrier)
+        field = np.random.default_rng(edge).uniform(0.0, 1.0, (grid.nx, grid.nv, k + 1))
+        for dt in (None, grid.dt):
+            work, nodal_work = Workspace(), Workspace()
+            got = liouville.galerkin_rhs(field, grid, barrier, stencil, kind, space, work, dt)
+            nodal = rhs_nodal(
+                field @ space.table, grid, stencil, force, 0.0, 2, kind, work=nodal_work, dt=dt
+            )
+            want = project(nodal, space)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+            assert work.counts["truncation_events"] == nodal_work.counts["truncation_events"] > 0
 
 
 def test_rigid_step_stencil_reflects_one_way():

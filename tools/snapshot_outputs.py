@@ -4,11 +4,13 @@ Usage (from the repository root):
 
     python3 tools/snapshot_outputs.py OUT_DIR
 
-Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on seventeen
+Runs `stochhyp run` at t_final = 0.1 on every built-in preset and on nineteen
 preset variants (`VARIANTS`: order-2 collocation and deterministic runs of
-both problems, `example1_order2` on a rule of m = k + 1 = 21 nodes, the
-`tanh` and `sqrt_rational` limiters, `example2_order1` with the potential
-step reversed, made too high to climb, and removed, rk2 runs of
+both problems, `example1_order2` and `example2_order2` on rules of m =
+k + 1 nodes, the `tanh` and `sqrt_rational` limiters, `example2_order2`
+with the `sqrt_rational` limiter and a step too high to climb,
+`example2_order1` with the potential step reversed, made too high to
+climb, and removed, rk2 runs of
 `example2_order1` and `example2_collocation`, `example2_order1` with
 `vflux = ratio`, `example2_order1` and `example2_order2` on a v
 window narrow enough that density reaches its boundary rows,
@@ -45,9 +47,10 @@ from stochhyp import cli  # noqa: E402
 from stochhyp.config import PRESETS  # noqa: E402
 
 # name -> (preset, config lines after it); these reach the order-2 nodal step
-# outside gPC, the order-2 SG step on a rule other than the default (there
-# it is (k + 1)-node collocation), the limiter maps that no preset uses, the
-# barrier stencil's truncated, all-reflecting and no-jump rows, the rk2
+# outside gPC, the order-2 SG steps on a rule other than the default (there
+# they are (k + 1)-node collocation), the limiter maps that no preset uses,
+# the barrier stencil's truncated, all-reflecting and no-jump rows at either
+# order, the rk2
 # stages of the gPC and nodal steps, the ratio v-flux, the boundary edges of
 # both v-fluxes, the barrier on a boundary between two blocks of x-rows at
 # either order, and density at an x boundary edge, where the zero-gradient
@@ -64,6 +67,10 @@ VARIANTS = {
     "liouville_order2_deterministic": ("example2_deterministic", "order = 2\nlimiter = tanh\n"),
     "liouville_step_reversed": ("example2_order1", "[random]\nv_left = 0.0\nv_right = 0.2\n"),
     "liouville_rigid_step": ("example2_order1", "[random]\nv_left = 5.0\n"),
+    "liouville_order2_m_k1": ("example2_order2", "[random]\nm = 11\n"),
+    "liouville_order2_rigid_step": (
+        "example2_order2", "limiter = sqrt_rational\n[random]\nv_left = 5.0\n"
+    ),
     "liouville_no_jump": ("example2_order1", "[random]\nv_right = 0.2\n"),
     "liouville_rk2": ("example2_order1", "integrator = rk2\n"),
     "liouville_rk2_collocation": ("example2_collocation", "integrator = rk2\n"),
