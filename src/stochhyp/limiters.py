@@ -96,10 +96,10 @@ def limited_slopes(
     the jump and take the one-sided difference that does not cross it; the
     boundary cells are flat.  On a slab of a larger grid's rows, the index
     counts from the slab's first row, and an interface cell outside the
-    slab is left alone; the slab's own first and last rows, flat here, are
-    the halo whose slopes the caller does not read.  Unlike `bap_slope`,
-    this does not scan for non-finite values: the march scans every state
-    its step returns.
+    slab is left alone; the slab's own first and last rows come out flat,
+    so a caller needs their slopes from a slab in which they are interior.
+    Unlike `bap_slope`, this does not scan for non-finite values: the march
+    scans every state its step returns.
 
     `work` holds three buffers: the differences, over which the mapped
     means are written, in its "scratch"; the mapped differences, over which
@@ -114,13 +114,16 @@ def limited_slopes(
     return _limited_slopes(d, interface_index, kind, work)
 
 
-def _limited_slopes(d: np.ndarray, interface_index: int, kind: str, work: Workspace) -> np.ndarray:
+def _limited_slopes(
+    d: np.ndarray, interface_index: int, kind: str, work: Workspace, out: np.ndarray | None = None
+) -> np.ndarray:
     """`limited_slopes` from the differences over dx, d[j] across the right edge of cell j.
 
     d, in `work`'s "scratch", is overwritten; the slopes of the len(d) + 1
-    cells come in its "scratch_result".
+    cells come in `out`, by default its "scratch_result".  The map pair of
+    `kind` is looked up once per workspace.
     """
-    forward, inverse = limiter_maps(kind)
+    forward, inverse = work.derived(("limiter_maps", kind), lambda: limiter_maps(kind))
     # interior cell j averages d[j - 1] and d[j], and the end cells are flat
     cells = len(d) + 1
     # the interface cells, when inside the slab, keep the differences on their side
@@ -131,7 +134,7 @@ def _limited_slopes(d: np.ndarray, interface_index: int, kind: str, work: Worksp
         saved[0] = d[i - 1]
     if right:
         saved[1] = d[i + 1]
-    slopes = work.buffer("scratch_result", (cells,) + d.shape[1:])
+    slopes = work.buffer("scratch_result", (cells,) + d.shape[1:]) if out is None else out
     mapped = forward(d, slopes[:-1])
     # the differences are spent: their mapped means take their place, and
     # the slopes then take the place of the mapped differences

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, reject
 from .gpc import ChaosSpace, chaos_problems, deterministic_coeffs, galerkin_matrix, project
-from .limiters import _limited_slopes, kind_problems, limited_slopes
+from .limiters import _limited_slopes, kind_problems
 from .march import march, time_steps
 from .workspace import Workspace
 
@@ -320,11 +320,15 @@ def _row_blocks(grid: PhaseSpaceGrid, n: int):
 
 
 # One block of the right-hand side, x-rows [a, b).  It reads a slab of the
-# state's rows [lo, hi): [a-1, b+1) at order 1, where an upwind difference
-# reaches one row, and [a-2, b+2) at order 2, where the limited slope of
-# each of those rows reaches one row further, both clipped to the grid.
-# Slab row r is grid row lo + r; the order-2 slopes of its first and last
-# rows are halo, never read, unless those rows are the grid's own flat ends.
+# state's rows [lo, hi) = [a-1, b+1), clipped to the grid, at either order:
+# an upwind difference reaches one row.  Slab row r is grid row lo + r.
+# At order 2 every slab row needs its limited slope, and each slope is
+# limited once per step: the block limits the slopes of its new rows,
+# a+1 to min(b, nx-2), from the limiter's cells [a, min(b+2, nx)), and
+# takes those of rows a-1 and a from "slope_carry", two rows that the
+# block before it filled.  The first block of a step reads no carry: row
+# 0 is a flat end of its limiter.  The interface cells, when new rows of
+# the block, find their one-sided differences among its limiter's cells.
 # `upwind` holds the state each slab row carries across its downwind edge:
 # the right edge state u + offset in the upper v-half (v > 0), the left
 # edge state u - offset in the lower half, and u itself at order 1; at
@@ -350,25 +354,41 @@ def _row_blocks(grid: PhaseSpaceGrid, n: int):
 # The limiter alone runs at the nodes, in the nodal pair; the other layers
 # take the coefficient pair in the same turns.  The coefficient differences
 # go to "coef_scratch", then their values at the nodes over dx to the
-# limiter's "scratch", and the projection of the slopes the block reads,
-# slab rows 1 to -2, to "coef_scratch_result".
+# limiter's "scratch", and the projection of the new rows' slopes to
+# "coef_scratch_result".
 
 
-def _sg_slopes(slab, grid, interface_index, kind, work, space):
-    """The projected limited slopes of a coefficient slab, in `work`'s "coef_scratch_result"."""
-    coeff_diffs = np.subtract(
-        slab[1:], slab[:-1], out=work.buffer(_COEFFS_PAIR[0], (len(slab) - 1,) + slab.shape[1:])
-    )
-    d = np.matmul(
-        coeff_diffs, work.derived("table_over_dx", lambda: space.table / grid.dx),
-        out=work.buffer("scratch", coeff_diffs.shape[:-1] + (space.count,)),
-    )
-    nodal_slopes = _limited_slopes(d, interface_index, kind, work)
-    slopes = work.buffer(_COEFFS_PAIR[1], slab.shape)
-    slopes[0] = 0.0
-    slopes[-1] = 0.0
-    project(nodal_slopes[1:-1], space, out=slopes[1:-1])
-    return slopes
+def _block_slopes(u, a, b, grid, kind, work, space):
+    """The limited slopes of block [a, b)'s slab rows, in the second buffer of its pair.
+
+    The rows before a + 1 come from the carry, and the carry then takes
+    rows b - 1 and b for the next block.
+    """
+    nx = grid.nx
+    lo, end = max(a - 1, 0), min(b + 2, nx)
+    cells = u[a:end]  # the limiter's cells; its flat end rows are a and end - 1
+    shape = u.shape[1:]
+    pair = _NODES_PAIR if space is None else _COEFFS_PAIR
+    il = grid.barrier_edge - 1 - a
+    slopes = work.buffer(pair[1], (end - lo,) + shape)
+    d = np.subtract(cells[1:], cells[:-1], out=work.buffer(pair[0], (len(cells) - 1,) + shape))
+    if space is None:
+        d /= grid.dx
+        _limited_slopes(d, il, kind, work, out=slopes[a - lo :])
+    else:
+        d = np.matmul(
+            d, work.derived("table_over_dx", lambda: space.table / grid.dx),
+            out=work.buffer("scratch", d.shape[:-1] + (space.count,)),
+        )
+        nodal_slopes = _limited_slopes(d, il, kind, work)
+        slopes[a - lo] = slopes[-1] = 0.0
+        project(nodal_slopes[1:-1], space, out=slopes[a - lo + 1 : -1])
+    carry = work.buffer("slope_carry", (2,) + shape)
+    if a > 0:
+        slopes[:2] = carry
+    if b < nx:
+        carry[...] = slopes[b - 1 - lo : b + 1 - lo]
+    return slopes[: min(b + 1, nx) - lo]
 
 
 def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=None) -> None:
@@ -376,10 +396,11 @@ def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=Non
 
     `tables` are the x speed and the v-flux's (lower, upper), from
     `_step_tables`: (nv, n) tables, or with a `space` Galerkin matrices.
+    At order 2 the blocks of one step must run in order, from a = 0.
     """
     nx, half = grid.nx, grid.nv // 2
     il, ir = grid.barrier_edge - 1, grid.barrier_edge
-    lo, hi = max(a - order, 0), min(b + order, nx)
+    lo, hi = max(a - 1, 0), min(b + 1, nx)
     slab = u[lo:hi]
     n = slab.shape[-1]
     speed, lower, upper = tables
@@ -388,10 +409,7 @@ def _rhs_block(u, a, b, out, grid, stencil, tables, order, kind, work, space=Non
     if order == 1:
         upwind = slab
     else:
-        if space is None:
-            offsets = limited_slopes(slab, grid.dx, il - lo, kind, work)
-        else:
-            offsets = _sg_slopes(slab, grid, il - lo, kind, work, space)
+        offsets = _block_slopes(u, a, b, grid, kind, work, space)
         # -dx/2 on rows moving right, so that u - offsets is each row's upwind
         # state; x - (-y) is x + y to the bit
         offsets *= work.derived(

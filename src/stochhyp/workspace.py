@@ -34,7 +34,9 @@ class Workspace:
     except what it returns in the pair's second buffer, which lives until
     its caller next calls a function that takes the pair.  An array a
     function returns from its workspace is overwritten by that function's
-    next call.
+    next call.  One buffer crosses blocks: at order 2, "slope_carry" holds
+    the limited slopes of the last two rows of a block's slab that the
+    next block's slab shares, so that each slope is limited once per step.
 
     A workspace serves one solve, whose grid, barrier and chaos space stay
     fixed: `derived` computes each invariant once and keeps it.  `counts` is

@@ -191,6 +191,20 @@ def test_basis_function_projects_to_unit_vector():
     np.testing.assert_allclose(coeffs, [0, 0, 1.0, 0, 0], atol=1e-13)
 
 
+@pytest.mark.parametrize("k", [2, 10, 30])
+def test_project_is_the_weighted_sum_through_a_contiguous_projector(k):
+    # the projector is a C-contiguous copy, which numpy multiplies faster
+    # than the transposed view; its products agree with the explicit
+    # weighted sum to a few ulp of each coefficient's sum of |terms|
+    space = ChaosSpace.build(k)
+    assert space.projector.flags.c_contiguous
+    samples = np.random.default_rng(k).uniform(-1.0, 1.0, (40, 7, space.count))
+    weighted = (space.table * space.rule.weights).T
+    want = samples @ weighted
+    ulp = np.spacing(np.abs(samples) @ np.abs(weighted))
+    assert np.all(np.abs(project(samples, space) - want) <= 8 * ulp)
+
+
 def test_project_rejects_length_mismatch():
     space = ChaosSpace.build(2, 4)
     with pytest.raises(ValueError):

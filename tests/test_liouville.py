@@ -650,6 +650,47 @@ def test_block_rhs_matches_the_whole_grid_rhs_bitwise(monkeypatch, kind, edge):
                     assert fresh_counts["truncation_events"] == ref_diag["truncation_events"]
 
 
+@pytest.mark.parametrize("edge", [1, 5, 6, 11], ids=["first", "inside", "boundary", "last"])
+@pytest.mark.parametrize("kind", ["nodal", "gpc"])
+def test_an_order2_step_limits_each_slope_once(monkeypatch, kind, edge):
+    # each block limits only the slopes of its new rows and takes the two
+    # before them from the block before it, so one rhs call maps the means
+    # of the nx - 2 interior rows back once, and each block maps at most one
+    # difference more than it has rows; a workspace looks the pair up once
+    fed = Counter()
+    forward, inverse = limiters._MAPS["tanh"]
+
+    def counted(name, apply):
+        def count(values, out):
+            fed[name] += np.size(values)
+            return apply(values, out)
+
+        return count
+
+    monkeypatch.setitem(
+        limiters._MAPS, "tanh", (counted("forward", forward), counted("inverse", inverse))
+    )
+    lookups = []
+    lookup = limiters.limiter_maps
+    monkeypatch.setattr(limiters, "limiter_maps", lambda kind: lookups.append(kind) or lookup(kind))
+    grid = edge_grid(edge)
+    stencil = BarrierStencil.build(grid, STEP)
+    space = ChaosSpace.build(2)
+    nodes = space.count if kind == "gpc" else 3
+    field = np.random.default_rng(edge).uniform(0.0, 1.0, (grid.nx, grid.nv, 3))
+    for height in (1, 2, 3, grid.nx):
+        monkeypatch.setattr(liouville, "_BLOCK_BYTES", height * grid.nv * nodes * 8)
+        blocks = len(list(liouville._row_blocks(grid, nodes)))
+        lookups.clear()
+        rhs, _ = block_rhs_pair(kind, 2, grid, stencil, space, {}, Workspace())
+        for dt in (None, grid.dt, None):
+            fed.clear()
+            rhs(field, dt)
+            assert fed["inverse"] == (grid.nx - 2) * grid.nv * nodes
+            assert fed["forward"] <= (grid.nx - 1 + blocks - 1) * grid.nv * nodes
+        assert lookups == ["tanh"]
+
+
 @pytest.mark.parametrize("kind, order", [("nodal", 1), ("nodal", 2), ("gpc", 2)])
 def test_an_euler_step_uses_the_dt_it_is_given(kind, order):
     # a workspace that already served one dt gives the euler step of another
