@@ -118,34 +118,58 @@ class ConvectionGrid:
         return self.dt / self.dx
 
 
-def _upwind(
-    field: np.ndarray,
-    states: np.ndarray,
-    lam_minus: np.ndarray,
-    lam_plus: np.ndarray,
-    i: int,
-    work: Workspace,
-) -> np.ndarray:
-    # g[j] is the flux through the right edge of cell j: the upwind cell's state
-    # times the speed on that cell's side of the jump.  Keep the grouping
-    # (u_j - g_j) + g_{j-1}: the bitwise reduction identities between solver
-    # paths (acceptance criterion 10) rely on it
-    speeds = work.derived(
-        "cell_speeds",
-        lambda: np.where((np.arange(len(states)) <= i)[:, None], lam_minus, lam_plus),
-    )
-    g = np.multiply(states, speeds, out=work.buffer("flux", states.shape))
-    # from the second step of a solve on, `field` is this buffer: the update
-    # runs in place, which is safe because g holds every flux already
-    out = np.subtract(field, g, out=work.buffer("state", field.shape))
-    out[1:] += g[:-1]
-    return out
+class _Upwind:
+    """The immersed upwind update of one solve's (cells, nodes) samples.
+
+    It holds, once per solve, the (cells, nodes) speed table, lam- in cells
+    left of the jump (j <= interface_index) and lam+ to its right, and the
+    "flux" and "state" buffers of `workspace`, the solve's workspace (a
+    throwaway one if none), where the order-2 step's other layers keep
+    theirs.  A steady step then looks nothing up.
+    """
+
+    def __init__(self, lam_minus, lam_plus, interface_index, workspace=None):
+        self.lam_minus, self.lam_plus = lam_minus, lam_plus
+        self.interface_index = interface_index
+        self.workspace = Workspace() if workspace is None else workspace
+        self.speeds = None
+
+    def __call__(self, field: np.ndarray, states: np.ndarray) -> np.ndarray:
+        if self.speeds is None:
+            # made at the first step, after the solve's initial state: made
+            # before it, the same arrays left the heap laid out so that a
+            # convection_ksweep benchmark run peaked 3 MB higher
+            left = (np.arange(len(states)) <= self.interface_index)[:, None]
+            self.speeds = np.where(left, self.lam_minus, self.lam_plus)
+            self.flux = self.workspace.buffer("flux", states.shape)
+            self.state = self.workspace.buffer("state", states.shape)
+        # g[j] is the flux through the right edge of cell j: the upwind cell's
+        # state times the speed on that cell's side of the jump.  Keep the
+        # grouping (u_j - g_j) + g_{j-1}: the bitwise reduction identities
+        # between solver paths (acceptance criterion 10) rely on it
+        g = np.multiply(states, self.speeds, out=self.flux)
+        # from the second step of a solve on, `field` is the state buffer: the
+        # update runs in place, which is safe because g holds every flux already
+        out = np.subtract(field, g, out=self.state)
+        out[1:] += g[:-1]
+        return out
+
+
+_FLOAT = np.dtype(float)
+
+
+def _speed_shape(lam) -> tuple:
+    # np.shape costs more than the rest of the check; a solve's speeds are ndarrays
+    return lam.shape if type(lam) is np.ndarray else np.shape(lam)
 
 
 def _checked_field(field, lam_minus, lam_plus) -> np.ndarray:
     """`field` as floats, if it is (cells, nodes) with one speed per node on each side."""
-    field = np.asarray(field, dtype=float)
-    if field.ndim != 2 or not np.shape(lam_minus) == np.shape(lam_plus) == field.shape[1:]:
+    # a float64 ndarray, what every solve passes, skips the conversion
+    if type(field) is not np.ndarray or field.dtype is not _FLOAT:
+        field = np.asarray(field, dtype=float)
+    nodes = field.shape[1:]
+    if field.ndim != 2 or not _speed_shape(lam_minus) == _speed_shape(lam_plus) == nodes:
         raise ValueError("field shape does not match the per-node speeds")
     return field
 
@@ -155,7 +179,7 @@ def step_first_order(
     lam_minus: np.ndarray,
     lam_plus: np.ndarray,
     interface_index: int,
-    work: Workspace | None = None,
+    work: _Upwind | None = None,
 ) -> np.ndarray:
     """One step of the immersed upwind scheme on (cells, nodes) samples of z.
 
@@ -166,13 +190,15 @@ def step_first_order(
     jump is the left cell's, so the update conserves mass.  Inflow ghosts are
     zero (compact support).
 
-    The new state is `work`'s "state" buffer, which may be `field` itself; the
-    speeds become a (cells, nodes) table that `work` keeps.  Without `work` the
-    step runs on a throwaway workspace and returns a new array.
+    `work` is the solve's upwind update, which `_nodal_step` builds once on
+    the solve's workspace.  The new state is that workspace's "state" buffer,
+    which may be `field` itself.  Without `work` the step runs on a throwaway
+    workspace and returns a new array.
     """
     field = _checked_field(field, lam_minus, lam_plus)
-    work = Workspace() if work is None else work
-    return _upwind(field, field, lam_minus, lam_plus, interface_index, work)
+    if work is None:
+        work = _Upwind(lam_minus, lam_plus, interface_index)
+    return work(field, field)
 
 
 def step_second_order_nodal(
@@ -182,19 +208,20 @@ def step_second_order_nodal(
     dx: float,
     interface_index: int,
     kind: str = "arctan",
-    work: Workspace | None = None,
+    work: _Upwind | None = None,
 ) -> np.ndarray:
     """Second-order nodal step: the upwind update applied to edge states.
 
-    Shapes, buffers and result are as for `step_first_order`.
+    Shapes, `work`, buffers and result are as for `step_first_order`.
     """
     field = _checked_field(field, lam_minus, lam_plus)
-    work = Workspace() if work is None else work
-    offsets = limited_slopes(field, dx, interface_index, kind, work)
+    if work is None:
+        work = _Upwind(lam_minus, lam_plus, interface_index)
+    offsets = limited_slopes(field, dx, interface_index, kind, work.workspace)
     offsets *= dx / 2.0
     # ROADMAP item 1 rewrites this edge state; its step (d) shares one helper with Liouville
-    edges = np.add(field, offsets, out=work.buffer("edges", field.shape))
-    return _upwind(field, edges, lam_minus, lam_plus, interface_index, work)
+    edges = np.add(field, offsets, out=work.workspace.buffer("edges", field.shape))
+    return work(field, edges)
 
 
 def _nodal_step(coef, grid, nodes, order, kind, work) -> Callable[[np.ndarray], np.ndarray]:
@@ -202,13 +229,15 @@ def _nodal_step(coef, grid, nodes, order, kind, work) -> Callable[[np.ndarray], 
 
     The order-2 SG step is this step at the rule's nodes followed by a filter
     to degree k (project, then evaluate), so the limiter acts per node.  Each
-    step returns `work`'s "state" buffer.
+    step returns `work`'s "state" buffer.  The upwind update is made here,
+    once per solve, and each step still calls the public step function.
     """
     lam_m, lam_p = grid.ratio * coef.left(nodes), grid.ratio * coef.right(nodes)
     i = grid.interface_index
+    upwind = _Upwind(lam_m, lam_p, i, work)
     if order == 1:
-        return lambda w: step_first_order(w, lam_m, lam_p, i, work)
-    return lambda w: step_second_order_nodal(w, lam_m, lam_p, grid.dx, i, kind, work)
+        return lambda w: step_first_order(w, lam_m, lam_p, i, upwind)
+    return lambda w: step_second_order_nodal(w, lam_m, lam_p, grid.dx, i, kind, upwind)
 
 
 def _cos_bump(x):
@@ -373,16 +402,18 @@ def run_convection(
     )
     space = ChaosSpace.build(k, k + 1 if order == 1 else quad_count)
     work = Workspace()
-    nodal = _nodal_step(coef, grid, space.rule.nodes, order, kind, work)
+    step = _nodal_step(coef, grid, space.rule.nodes, order, kind, work)
+    if order == 2:
+        nodal, coeffs = step, work.buffer("coeffs", (grid.cells, len(space.table)))
 
-    def filtered(w):
-        # the degree-k filter of the nodal step's samples is written over them
-        samples = nodal(w)
-        coeffs = project(samples, space, out=work.buffer("coeffs", (grid.cells, len(space.table))))
-        return np.matmul(coeffs, space.table, out=samples)
+        def step(w):
+            # the degree-k filter of the nodal step's samples is written over them
+            samples = nodal(w)
+            return np.matmul(project(samples, space, out=coeffs), space.table, out=samples)
 
-    step = nodal if order == 1 else filtered
-    mass = lambda w: float((w @ space.rule.weights).sum() * grid.dx)
+    # each cell's Gauss-weighted sum, a gemv into one vector kept for the solve
+    weights, dx, cell_masses = space.rule.weights, grid.dx, np.empty(grid.cells)
+    mass = lambda w: float(np.matmul(w, weights, out=cell_masses).sum() * dx)
     samples, diagnostics = march(
         np.repeat(values[:, None], space.count, axis=1), step, steps, mass, "cell %d, node %d"
     )

@@ -9,6 +9,7 @@ optional value range and the timer.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -48,7 +49,9 @@ def march(
     on every state with a non-finite entry: a sum with positive weights over
     the whole state is, and a mass that reads only part of it must scan the
     rest itself.  A finite state whose mass overflows is scanned and marched
-    on.  The diagnostics carry `steps`, `mass_initial`, `mass_drift_abs_max`,
+    on.  A scalar mass (every SG solve) is bookkept in Python floats and a
+    per-node mass in numpy arrays; either way a NaN drift stays NaN.  The
+    diagnostics carry `steps`, `mass_initial`, `mass_drift_abs_max`,
     `mass_drift_rel_max` and `wall_time`, plus `min_value`/`max_value` when
     `track_range` is set.
     The march keeps only the latest state, and `step` may write the next one
@@ -60,7 +63,20 @@ def march(
     it.
     """
     mass0 = mass(state)
-    drift = np.zeros_like(mass0)
+    if isinstance(mass0, float):
+        # numpy's scalar ufuncs cost microseconds a step; the comparison takes
+        # a NaN gap and then keeps it, as np.maximum does
+        drift = 0.0
+        finite = math.isfinite
+
+        def widened(drift, mass_n):
+            gap = abs(mass_n - mass0)
+            return gap if gap > drift or gap != gap else drift
+
+    else:
+        drift = np.zeros_like(mass0)
+        finite = lambda mass_n: np.isfinite(mass_n).all()
+        widened = lambda drift, mass_n: np.maximum(drift, np.abs(mass_n - mass0))
     if track_range:
         lo = float(state.min())
         hi = float(state.max())
@@ -68,13 +84,13 @@ def march(
     for n in range(steps):
         state = step(state)
         mass_n = mass(state)
-        if not np.isfinite(mass_n).all():
+        if not finite(mass_n):
             bad = np.argwhere(~np.isfinite(state))
             if len(bad):
                 raise DivergenceError(
                     "non-finite value detected", step=n + 1, where=where % tuple(bad[0])
                 )
-        drift = np.maximum(drift, np.abs(mass_n - mass0))
+        drift = widened(drift, mass_n)
         if track_range:
             lo = min(lo, float(state.min()))
             hi = max(hi, float(state.max()))

@@ -350,3 +350,38 @@ def test_a_finite_state_whose_mass_overflows_marches_on():
     assert diagnostics["steps"] == 3
     assert np.isposinf(diagnostics["mass_drift_abs_max"][0])
     assert diagnostics["mass_drift_abs_max"][1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "entries, reported",
+    [(1e308, np.isposinf), (np.array([1e308, -1e308]), np.isnan)],
+    ids=["inf", "nan"],
+)
+def test_a_finite_state_whose_scalar_mass_overflows_marches_on(entries, reported):
+    # the scalar twin of the test above: every SG solve's mass is one float,
+    # which the march keeps in Python floats.  Column sums of 2e308 make the
+    # mass inf, and of +-2e308 make it inf - inf = nan; either way the state
+    # is finite, so the march goes on and reports what the one-element array
+    # form of the same mass reports
+    state = np.ones((2, 2))
+    huge = np.broadcast_to(entries, (2, 2)).copy()
+    scalar = lambda w: float(w.sum(axis=0).sum())
+    one_element = lambda w: w.sum(axis=0).sum(keepdims=True)
+    runs = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for form, mass in (("scalar", scalar), ("array", one_element)):
+            final, runs[form] = march(state, lambda w: huge.copy(), 3, mass, "%d, %d")
+            np.testing.assert_array_equal(final, huge)
+    assert isinstance(runs["scalar"]["mass_drift_abs_max"], float)
+    for key in ("mass_drift_abs_max", "mass_drift_rel_max"):
+        assert reported(runs["scalar"][key])
+        np.testing.assert_array_equal(runs["array"][key], [runs["scalar"][key]])
+
+
+def test_a_nan_drift_stays_nan_in_the_scalar_march():
+    # np.maximum keeps a NaN once it has met one; the float bookkeeping must
+    # too, so finite masses after a nan step do not hide it
+    masses = iter([1.0, float("nan"), 2.0, 0.5])
+    _, diagnostics = march(np.ones((1, 1)), lambda w: w, 3, lambda w: next(masses), "%d, %d")
+    assert np.isnan(diagnostics["mass_drift_abs_max"])
+    assert np.isnan(diagnostics["mass_drift_rel_max"])

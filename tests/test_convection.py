@@ -556,3 +556,60 @@ def test_a_steady_state_convection_step_allocates_almost_nothing(monkeypatch, so
     solve(InterfaceCoefficient(1.0, 2.0, 0.3), ConvectionGrid.from_spacing(-2.0, 6.0, 0.005, 0.001))
     [(grown, state_bytes)] = growth
     assert grown < state_bytes / 8
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_a_steady_order1_sg_march_allocates_almost_nothing_with_its_mass(monkeypatch, k):
+    # the guard above leaves the march out; here three whole steps of the
+    # march run, each with its mass, a gemv into a vector kept for the solve,
+    # and its float bookkeeping.  At k = 2 a fresh (cells,) mass vector alone
+    # would be a third of the state's bytes
+    import stochhyp.convection as convection
+    from stochhyp.march import march
+
+    growth = []
+
+    def measured_march(state, step, steps, mass, where, track_range=False):
+        state, _ = march(state, step, 1, mass, where)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            state, diagnostics = march(state, step, 3, mass, where)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        growth.append((peak - before, state.nbytes))
+        return state, diagnostics
+
+    monkeypatch.setattr(convection, "march", measured_march)
+    grid = ConvectionGrid.from_spacing(-2.0, 6.0, 0.005, 0.001)
+    run_convection(InterfaceCoefficient(1.0, 2.0, 0.3), grid, k, 0.1)
+    [(grown, state_bytes)] = growth
+    assert grown < state_bytes / 8
+
+
+@pytest.mark.parametrize("k", [2, 10])
+def test_sg_mass_drift_is_the_largest_gap_of_the_step_masses_bit_for_bit(monkeypatch, k):
+    # the march bookkeeps a scalar mass in Python floats; its drift must be
+    # the numpy reduction over the masses it saw, to the last bit.  The bump
+    # leaves the small domain, so the masses fall by far more than roundoff
+    import stochhyp.convection as convection
+    from stochhyp.march import march
+
+    masses = []
+
+    def recording_march(state, step, steps, mass, where, track_range=False):
+        def recorded(w):
+            masses.append(mass(w))
+            return masses[-1]
+
+        return march(state, step, steps, recorded, where, track_range)
+
+    monkeypatch.setattr(convection, "march", recording_march)
+    run = run_convection(InterfaceCoefficient(1.0, 2.0, 0.3), small_grid(), k, 0.5)
+    masses = np.array(masses)
+    assert len(masses) == run.diagnostics["steps"] + 1 == 51
+    expected = np.max(np.abs(masses - masses[0]))
+    assert expected > 0.1
+    assert run.diagnostics["mass_drift_abs_max"] == expected
+    assert run.diagnostics["mass_drift_abs_max"].hex() == float(expected).hex()

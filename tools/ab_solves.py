@@ -56,6 +56,15 @@ def solver(pkg, preset: str):
     return lambda: problem.chaos(config.k, config.m)[0]
 
 
+def field_difference(old: np.ndarray, new: np.ndarray) -> float:
+    """The largest |new - old| over the largest |old|: 0 for equal fields, inf past an all-zero old."""
+    gap = float(np.abs(new - old).max())
+    scale = float(np.abs(old).max())
+    if scale:
+        return gap / scale
+    return np.inf if gap else 0.0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="checkout whose solve is the base")
@@ -85,8 +94,7 @@ def main(argv=None) -> int:
 
     ratios = [new / old for old, new in zip(times["old"], times["new"])]
     won = sum(new < old for old, new in zip(times["old"], times["new"]))
-    scale = np.abs(fields["old"]).max()
-    diff = np.abs(fields["new"] - fields["old"]).max() / scale if scale else np.inf
+    diff = field_difference(fields["old"], fields["new"])
     print("preset %s, %d rounds" % (args.preset, args.rounds))
     for side in SIDES:
         print("%s median: %.4f s" % (side, statistics.median(times[side])))
